@@ -164,6 +164,15 @@ void PrintBanner(const std::string& title, const BenchConfig& config) {
 void WriteBenchJson(
     const std::string& name,
     const std::vector<std::pair<std::string, double>>& metrics) {
+  // An empty or all-zero artifact means the bench measured nothing
+  // (e.g. a capacity that never binds at this scale): fail loudly
+  // instead of recording a flat line in the trajectory.
+  STREAMBID_CHECK(!metrics.empty());
+  bool any_nonzero = false;
+  for (const auto& [key, value] : metrics) {
+    any_nonzero = any_nonzero || value != 0.0;
+  }
+  STREAMBID_CHECK(any_nonzero);
   const std::string path = "BENCH_" + name + ".json";
   std::FILE* f = std::fopen(path.c_str(), "w");
   STREAMBID_CHECK(f != nullptr);

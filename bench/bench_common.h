@@ -89,7 +89,8 @@ void PrintBanner(const std::string& title, const BenchConfig& config);
 /// working directory — the uniform perf artifact every bench emits and
 /// CI uploads per PR ({"bench": "<name>", "<key>": <value>, ...}).
 /// Metrics keep the caller's order. CHECK-fails if the file cannot be
-/// written (an artifact silently missing defeats the trajectory).
+/// written (an artifact silently missing defeats the trajectory), and
+/// if `metrics` is empty or all zero (a series that measured nothing).
 void WriteBenchJson(
     const std::string& name,
     const std::vector<std::pair<std::string, double>>& metrics);

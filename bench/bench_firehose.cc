@@ -19,9 +19,8 @@
 //     plus decision replay across a re-run.
 //  3. Replay identity: for a closed-loop workload that never exhausts
 //     tickets, gated per-period cluster reports are byte-identical to
-//     direct ClusterCenter::Submit at executor pool sizes 1/2/8, with
-//     executor work stealing on AND off (the single-queue-equivalent
-//     reference mode) — stealing moves where tasks run, never results.
+//     direct ClusterCenter::Submit at executor pool sizes 1/2/8 — work
+//     stealing moves where tasks run, never results.
 //  4. Executor allocation audit: a warmed 8-worker pool runs thousands
 //     of Submit→execute→Wait cycles under the counting operator new
 //     (alloc_probe.cc); CHECKs zero steady-state heap allocations on
@@ -298,11 +297,9 @@ stream::QuerySubmission ClosedLoopSubmission(int period, int t) {
 }
 
 std::vector<cluster::ClusterPeriodReport> RunClosedLoop(
-    int executor_threads, bool gated, int periods, bool stealing = true) {
-  cluster::ClusterOptions cluster_options =
-      BaseClusterOptions(executor_threads);
-  cluster_options.executor_stealing = stealing;
-  cluster::ClusterCenter center(cluster_options, RegisterQuotes);
+    int executor_threads, bool gated, int periods) {
+  cluster::ClusterCenter center(BaseClusterOptions(executor_threads),
+                                RegisterQuotes);
   gate::IngressOptions options;
   options.tenant_classes = 2;
   options.tickets_per_class = 32;  // Never exhausted by this workload.
@@ -361,19 +358,15 @@ void CheckReportsIdentical(
 
 void RunReplayExperiment(int periods) {
   std::printf("\n== gate replay identity vs direct Submit, executor "
-              "pools 1/2/8, stealing on/off (%d periods) ==\n",
+              "pools 1/2/8 (%d periods) ==\n",
               periods);
   const std::vector<cluster::ClusterPeriodReport> reference =
       RunClosedLoop(1, /*gated=*/false, periods);
   for (const int threads : {1, 2, 8}) {
-    for (const bool stealing : {true, false}) {
-      CheckReportsIdentical(
-          RunClosedLoop(threads, /*gated=*/true, periods, stealing),
-          reference);
-    }
+    CheckReportsIdentical(RunClosedLoop(threads, /*gated=*/true, periods),
+                          reference);
   }
-  std::printf("# gated == direct, byte-identical at every pool size, "
-              "stealing on or off\n");
+  std::printf("# gated == direct, byte-identical at every pool size\n");
 }
 
 // ---------------------------------------------------------------------------

@@ -82,22 +82,27 @@ int main() {
   std::printf("total revenue: $%.2f across %d shards\n",
               cluster.total_revenue(), cluster.num_shards());
 
-  // The executor's rolling stats double as the service observability
-  // surface: every shard auction it ran is folded in per mechanism,
-  // and the generic pool counters show where the period chains landed.
-  const cluster::ExecutorStats stats =
-      cluster.executor().StatsReport();
-  for (const auto& [name, m] : stats.per_mechanism) {
-    std::printf("mechanism %s: %lld auctions, mean admit rate %.2f, "
-                "mean %.3f ms\n",
-                name.c_str(), static_cast<long long>(m.count),
-                m.admit_rate.mean(), m.elapsed_ms.mean());
+  // Per-shard outcomes come straight from the period history; the pool
+  // counters show where the period chains landed (one task per
+  // shard-period, every one on a pool worker).
+  for (const cluster::ClusterPeriodReport& period : cluster.history()) {
+    for (size_t s = 0; s < period.shard_reports.size(); ++s) {
+      const cloud::PeriodReport& shard = period.shard_reports[s];
+      std::printf("period %d shard %zu: mechanism %s, admit rate %.2f\n",
+                  period.period, s, shard.mechanism.c_str(),
+                  shard.submissions > 0
+                      ? static_cast<double>(shard.admitted) /
+                            shard.submissions
+                      : 0.0);
+    }
   }
+  const cluster::TaskExecutorStats stats = cluster.executor().StatsReport();
   for (size_t w = 0; w < stats.tasks_per_worker.size(); ++w) {
     std::printf("pool worker %zu ran %lld period tasks\n", w,
                 static_cast<long long>(stats.tasks_per_worker[w]));
   }
-  std::printf("queue high-water mark: %lld\n",
+  std::printf("pool: %lld tasks executed, queue high-water mark %lld\n",
+              static_cast<long long>(stats.executed),
               static_cast<long long>(stats.queue_high_water));
   return 0;
 }

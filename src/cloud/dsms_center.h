@@ -137,9 +137,9 @@ class BillingLedger {
 
 /// The auction inputs for one period boundary, built from the pending
 /// submissions. The admission request's instance points into `build`,
-/// which is heap-held so the struct stays valid across moves — the
-/// cluster layer collects one of these per shard, runs the requests
-/// through its parallel executor, and hands each response back to
+/// which is heap-held so the struct stays valid across moves — each
+/// cluster shard's period chain builds one of these, runs the request
+/// on its pool worker's service, and hands the response back to
 /// CompletePeriod.
 struct PreparedAuction {
   /// False when no submissions are pending (the period still runs:

@@ -15,26 +15,13 @@
 
 namespace streambid::cluster {
 
-namespace {
-
-ExecutorOptions MakeExecutorOptions(const ClusterOptions& options) {
-  ExecutorOptions executor_options;
-  executor_options.num_threads = options.executor_threads;
-  executor_options.max_queue_depth = options.executor_queue_depth;
-  executor_options.steal = options.executor_stealing;
-  executor_options.steal_seed = options.executor_steal_seed;
-  executor_options.metrics = options.metrics;
-  return executor_options;
-}
-
-}  // namespace
-
 ClusterCenter::ClusterCenter(const ClusterOptions& options,
                              const EngineConfigurator& configure_engine)
     : options_(options),
       router_(options.routing, options.num_shards),
       rebalancer_(options.rebalance, options.num_shards),
-      executor_(MakeExecutorOptions(options)) {
+      executor_(ExecutorOptions{.num_threads = options.executor_threads,
+                                .metrics = options.metrics}) {
   STREAMBID_CHECK_GE(options.num_shards, 1);
   STREAMBID_CHECK_GT(options.total_capacity, 0.0);
 
@@ -78,10 +65,6 @@ ClusterCenter::ClusterCenter(const ClusterOptions& options,
 }
 
 Result<int> ClusterCenter::Submit(stream::QuerySubmission submission) {
-  if (period_in_flight_) {
-    return Status::FailedPrecondition(
-        "a period is in flight: EndPeriod before Submit");
-  }
   const auction::UserId user = submission.user;
   const int s = router_.Route(submission, statuses_, &overrides_);
   Shard& shard = shards_[static_cast<size_t>(s)];
@@ -105,12 +88,8 @@ Result<int> ClusterCenter::Submit(stream::QuerySubmission submission) {
   return s;
 }
 
-Result<BatchSubmitOutcome> ClusterCenter::SubmitBatch(
+BatchSubmitOutcome ClusterCenter::SubmitBatch(
     std::vector<stream::QuerySubmission> batch) {
-  if (period_in_flight_) {
-    return Status::FailedPrecondition(
-        "a period is in flight: EndPeriod before SubmitBatch");
-  }
   BatchSubmitOutcome outcome;
   for (stream::QuerySubmission& submission : batch) {
     const Result<int> shard = Submit(std::move(submission));
@@ -148,8 +127,8 @@ Result<cloud::PeriodReport> ClusterCenter::RunShardPeriod(
   if (prepared.has_auction) {
     telemetry::ScopedSpan span(tracer, telemetry::Phase::kAdmit, period, s,
                                epoch);
-    STREAMBID_ASSIGN_OR_RETURN(
-        admitted, executor_.AdmitOn(context, prepared.request));
+    STREAMBID_ASSIGN_OR_RETURN(admitted,
+                               context.service->Admit(prepared.request));
     response = &admitted;
   }
   // Stage 3: transition + engine execution + billing.
@@ -158,132 +137,32 @@ Result<cloud::PeriodReport> ClusterCenter::RunShardPeriod(
   return center.CompletePeriod(response);
 }
 
-Result<PendingPeriod> ClusterCenter::BeginPeriod() {
-  if (period_in_flight_) {
-    return Status::FailedPrecondition("a period is already in flight");
-  }
-  PendingPeriod period;
-  period.timer.Start();
-  period.shard_tickets.reserve(shards_.size());
-  period.owner = this;
-  period.epoch = ++period_epoch_;
-  period_in_flight_ = true;
+Result<ClusterPeriodReport> ClusterCenter::RunPeriod() {
+  Timer timer;
+  const uint64_t epoch = ++period_epoch_;
+  std::vector<Ticket<cloud::PeriodReport>> tickets;
+  tickets.reserve(shards_.size());
   for (int s = 0; s < num_shards(); ++s) {
     const Result<Ticket<cloud::PeriodReport>> ticket =
-        executor_.tasks().Submit<cloud::PeriodReport>(
-            [this, s, epoch = period.epoch](WorkerContext& context) {
+        executor_.Submit<cloud::PeriodReport>(
+            [this, s, epoch](WorkerContext& context) {
               return RunShardPeriod(s, epoch, context);
             });
     if (!ticket.ok()) {
       // Submission can only fail on a shut-down executor; wait out the
-      // chains already in flight so no task outlives this call's view
-      // of the cluster, then surface the error.
-      for (const Ticket<cloud::PeriodReport> t : period.shard_tickets) {
-        (void)executor_.tasks().Wait(t);
-      }
-      period_in_flight_ = false;
-      return ticket.status();
-    }
-    period.shard_tickets.push_back(*ticket);
-  }
-  return period;
-}
-
-Result<ClusterPeriodReport> ClusterCenter::EndPeriod(
-    PendingPeriod& period) {
-  if (period.consumed) {
-    return Status::FailedPrecondition("period already ended");
-  }
-  if (!period_in_flight_) {
-    return Status::FailedPrecondition("no period is in flight");
-  }
-  // Identity check before any state changes: a stale copy of an earlier
-  // handle, a foreign cluster's handle, or a default-constructed one
-  // must not unfreeze the surface while the live period's chains are
-  // still running (nor strand the live handle's tickets).
-  if (period.owner != this || period.epoch != period_epoch_ ||
-      period.shard_tickets.size() != shards_.size()) {
-    return Status::FailedPrecondition(
-        "period handle does not match this cluster's in-flight period");
-  }
-  period.consumed = true;
-  std::vector<Result<cloud::PeriodReport>> completed;
-  completed.reserve(period.shard_tickets.size());
-  for (const Ticket<cloud::PeriodReport> ticket : period.shard_tickets) {
-    completed.push_back(executor_.tasks().Wait(ticket));
-  }
-  period_in_flight_ = false;
-  return MergeCompleted(std::move(completed), period.timer);
-}
-
-Result<ClusterPeriodReport> ClusterCenter::RunPeriod() {
-  STREAMBID_ASSIGN_OR_RETURN(PendingPeriod period, BeginPeriod());
-  return EndPeriod(period);
-}
-
-Result<ClusterPeriodReport> ClusterCenter::RunPeriodBarriered() {
-  if (period_in_flight_) {
-    return Status::FailedPrecondition("a period is already in flight");
-  }
-  const int n = num_shards();
-  Timer timer;
-
-  // --- Phase 1: every shard builds its auction (serial; with
-  // autoscaling this includes the candidate-grid what-if auctions). ---
-  std::vector<cloud::PreparedAuction> prepared;
-  prepared.reserve(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    STREAMBID_ASSIGN_OR_RETURN(
-        cloud::PreparedAuction p,
-        shards_[static_cast<size_t>(s)].center->PrepareAuction());
-    prepared.push_back(std::move(p));
-  }
-
-  // --- Phase 2: all shard auctions as one parallel batch. ---
-  std::vector<service::AdmissionRequest> requests;
-  std::vector<int> owner;  // requests[k] belongs to shard owner[k].
-  for (int s = 0; s < n; ++s) {
-    if (!prepared[static_cast<size_t>(s)].has_auction) continue;
-    requests.push_back(prepared[static_cast<size_t>(s)].request);
-    owner.push_back(s);
-  }
-  STREAMBID_ASSIGN_OR_RETURN(
-      const std::vector<service::AdmissionResponse> responses,
-      executor_.AdmitBatchParallel(requests));
-  std::vector<const service::AdmissionResponse*> response_of(
-      static_cast<size_t>(n), nullptr);
-  for (size_t k = 0; k < owner.size(); ++k) {
-    response_of[static_cast<size_t>(owner[k])] = &responses[k];
-  }
-
-  // --- Phase 3: shards complete their periods as pool tasks. Each
-  // slot is touched by exactly one task (a shard's engine, ledger, and
-  // history are private to it), so the fan-out cannot change any
-  // per-shard outcome — and the pool caps the parallelism, so a
-  // many-shard cluster does not oversubscribe the machine. ---
-  std::vector<Ticket<cloud::PeriodReport>> tickets;
-  tickets.reserve(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    const service::AdmissionResponse* response =
-        response_of[static_cast<size_t>(s)];
-    const Result<Ticket<cloud::PeriodReport>> ticket =
-        executor_.tasks().Submit<cloud::PeriodReport>(
-            [this, s, response](WorkerContext&) {
-              return shards_[static_cast<size_t>(s)]
-                  .center->CompletePeriod(response);
-            });
-    if (!ticket.ok()) {
+      // chains already in flight so no task outlives this call, then
+      // surface the error.
       for (const Ticket<cloud::PeriodReport> t : tickets) {
-        (void)executor_.tasks().Wait(t);
+        (void)executor_.Wait(t);
       }
       return ticket.status();
     }
     tickets.push_back(*ticket);
   }
   std::vector<Result<cloud::PeriodReport>> completed;
-  completed.reserve(static_cast<size_t>(n));
+  completed.reserve(tickets.size());
   for (const Ticket<cloud::PeriodReport> ticket : tickets) {
-    completed.push_back(executor_.tasks().Wait(ticket));
+    completed.push_back(executor_.Wait(ticket));
   }
   return MergeCompleted(std::move(completed), timer);
 }
@@ -458,7 +337,7 @@ Status ClusterCenter::RebalanceAfterPeriod() {
   }
   STREAMBID_ASSIGN_OR_RETURN(
       std::vector<Extracted> extracted_per_source,
-      executor_.tasks().RunAll(std::move(extract_tasks)));
+      executor_.RunAll(std::move(extract_tasks)));
 
   // Reassemble per destination on the caller's thread.
   std::unordered_map<auction::UserId, cloud::TenantState> state_of;
@@ -509,7 +388,7 @@ Status ClusterCenter::RebalanceAfterPeriod() {
   }
   STREAMBID_ASSIGN_OR_RETURN(
       std::vector<Adopted> adopted_per_destination,
-      executor_.tasks().RunAll(std::move(adopt_tasks)));
+      executor_.RunAll(std::move(adopt_tasks)));
   for (size_t k = 0; k < destinations.size(); ++k) {
     ShardStatus& status =
         statuses_[static_cast<size_t>(destinations[k])];

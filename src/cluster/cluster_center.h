@@ -3,12 +3,12 @@
 // engine at total_capacity / N) behind a ShardRouter, with every period
 // stage — autoscaled prepare, admission, completion — running on the
 // executor's persistent worker pool and the per-shard PeriodReports
-// merged into a ClusterPeriodReport. This is the ROADMAP "sharded
-// multi-center" item plus the "period pipelining" item: no per-period
-// threads are ever spawned, and shards flow through their stages
-// independently instead of barriering between phases.
+// merged into a ClusterPeriodReport. No per-period threads are ever
+// spawned, and shards flow through their stages independently instead
+// of barriering between phases.
 //
-// A period is one dependency chain per shard, submitted to the pool:
+// RunPeriod() is the one period path. It submits one dependency chain
+// per shard to the pool, waits for all of them, and merges:
 //
 //   shard k:  PrepareAuction ──▶ Admit (worker service) ──▶ CompletePeriod
 //             (autoscaler grid)                             (transition +
@@ -18,24 +18,17 @@
 // and autoscaler are private to it), so shard k's engine execution
 // overlaps shard k+1's auction. Every stage is a deterministic function
 // of shard-local state — the (seed + shard, period) request streams
-// carry the auction RNG — so the pipelined report is byte-identical to
-// the barriered reference (RunPeriodBarriered) at every pool size.
+// carry the auction RNG — so each shard's report is byte-identical to a
+// standalone DsmsCenter::RunPeriod twin at every pool size.
 //
-// The period tail (shared by every variant) is itself staged: the
-// router's per-shard view refreshes, the shard reports merge, and —
-// when ClusterOptions::rebalance is enabled — a ShardRebalancer plans
+// The period tail is itself staged: the router's per-shard view
+// refreshes, the shard reports merge, and — when
+// ClusterOptions::rebalance is enabled — a ShardRebalancer plans
 // inter-period tenant migrations from the refreshed signals and the
 // migrations fan out on the same pool (extraction tasks per source
 // shard, then adoption tasks per destination shard; each shard is
 // touched by at most one task per phase). The plan is a pure function
 // of (history, seed), so the replay contract survives rebalancing.
-//
-// Surfaces: RunPeriod() runs one pipelined period synchronously;
-// BeginPeriod()/EndPeriod() split it so a caller can overlap the
-// period's execution with its own work (but not with Submit — see
-// BeginPeriod); RunPeriodBarriered() keeps the lock-step reference
-// implementation (serial prepare, one parallel admission batch, pooled
-// completion) for identity tests and the pipelining bench.
 
 #ifndef STREAMBID_CLUSTER_CLUSTER_CENTER_H_
 #define STREAMBID_CLUSTER_CLUSTER_CENTER_H_
@@ -50,9 +43,9 @@
 #include <unordered_map>
 
 #include "cloud/dsms_center.h"
-#include "cluster/admission_executor.h"
 #include "cluster/shard_rebalancer.h"
 #include "cluster/shard_router.h"
+#include "cluster/task_executor.h"
 #include "common/status.h"
 #include "common/timer.h"
 #include "stream/engine.h"
@@ -88,17 +81,6 @@ struct ClusterOptions {
   stream::EngineOptions engine_options;
   /// Executor pool size; 0 sizes to the hardware.
   int executor_threads = 0;
-  /// Executor queue bound passed through to ExecutorOptions; 0 means
-  /// unbounded. A bound must admit at least the period fan-out (one
-  /// chain per shard) or BeginPeriod will block on its own backlog.
-  int executor_queue_depth = 0;
-  /// Executor work stealing (ExecutorOptions::steal). Off is the
-  /// single-queue-equivalent reference mode; results are identical
-  /// either way — the replay tests assert exactly that.
-  bool executor_stealing = true;
-  /// Seed for the executor's deterministic steal-victim scan order
-  /// (ExecutorOptions::steal_seed).
-  uint64_t executor_steal_seed = 0x51EA15EEDULL;
   /// Per-shard closed-loop capacity autoscaling. Each shard runs its
   /// own CapacityAutoscaler against its share of total_capacity (the
   /// ratio bounds apply to the per-shard baseline); decisions are made
@@ -129,10 +111,9 @@ struct ClusterOptions {
   /// counters. Null (the default) disables all of it. Must outlive the
   /// cluster.
   telemetry::MetricsRegistry* metrics = nullptr;
-  /// Optional period tracer. When set, the pipelined period path
-  /// records one span per (period, shard, phase): prepare, admit,
-  /// complete on the workers, plus the cluster-level rebalance stage
-  /// (shard -1). Spans are write-only annotations — replay identity is
+  /// Optional period tracer. When set, RunPeriod records one span per
+  /// (period, shard, phase): prepare, admit, complete on the workers,
+  /// plus the cluster-level rebalance stage (shard -1). Spans are write-only annotations — replay identity is
   /// unchanged with tracing on or off. Must outlive the cluster.
   telemetry::PeriodTracer* tracer = nullptr;
 };
@@ -156,8 +137,8 @@ struct ClusterPeriodReport {
   double provisioned_capacity = 0.0;
   /// Summed per-shard energy cost under the configured EnergyModel.
   double energy_cost = 0.0;
-  /// Wall clock of the whole cluster period (BeginPeriod through the
-  /// merge, or all three barriered phases).
+  /// Wall clock of the whole cluster period (chain submission through
+  /// the merge).
   double elapsed_ms = 0.0;
   /// Indexed by shard; each report carries its mechanism name.
   std::vector<cloud::PeriodReport> shard_reports;
@@ -173,22 +154,6 @@ struct BatchSubmitOutcome {
   int rejected = 0;
   /// OK when rejected == 0; otherwise the first per-item error.
   Status first_error = Status::Ok();
-};
-
-/// Handle for an in-flight pipelined period issued by BeginPeriod and
-/// consumed (exactly once) by EndPeriod. Identity-tagged: EndPeriod
-/// only accepts the handle of ITS cluster's CURRENT in-flight period —
-/// stale copies, foreign clusters' handles, and default-constructed
-/// ones are all rejected with kFailedPrecondition.
-struct PendingPeriod {
-  /// One chain ticket per shard, indexed by shard.
-  std::vector<Ticket<cloud::PeriodReport>> shard_tickets;
-  Timer timer;  ///< Started at BeginPeriod; read at the merge.
-  bool consumed = false;
-  /// Issuing cluster and its period epoch at issue time; checked by
-  /// EndPeriod before any state changes.
-  const void* owner = nullptr;
-  uint64_t epoch = 0;
 };
 
 /// N admission-controlled centers behind one router and one executor.
@@ -211,8 +176,6 @@ class ClusterCenter {
   /// Routes the submission to a shard and queues it there for the next
   /// period. Returns the shard index. Routing happens before admission:
   /// a submission rejected by its shard's auction is not re-routed.
-  /// kFailedPrecondition while a period is in flight (shard state is on
-  /// the workers' side of the fence until EndPeriod).
   Result<int> Submit(stream::QuerySubmission submission);
 
   /// Moves a drained gate batch into the shard queues, in batch order —
@@ -221,37 +184,20 @@ class ClusterCenter {
   /// to the loop), but per-item errors are folded into the outcome
   /// instead of aborting: the batch was already granted tickets, and a
   /// routed-but-refused submission must be accounted, not lose its
-  /// successors. kFailedPrecondition (whole batch) while a period is in
-  /// flight.
-  Result<BatchSubmitOutcome> SubmitBatch(
-      std::vector<stream::QuerySubmission> batch);
+  /// successors.
+  BatchSubmitOutcome SubmitBatch(std::vector<stream::QuerySubmission> batch);
 
-  /// Runs one pipelined period (BeginPeriod + EndPeriod) and merges the
-  /// shard reports.
+  /// Runs one period: submits every shard's chain (prepare -> admit ->
+  /// complete) to the executor pool, waits for all of them, refreshes
+  /// the router's view, merges the shard reports, appends to history(),
+  /// and runs the rebalance stage. kFailedPrecondition once the
+  /// executor has been shut down.
   Result<ClusterPeriodReport> RunPeriod();
-
-  /// Submits every shard's period chain (prepare -> admit -> complete)
-  /// to the executor pool and returns immediately. Until EndPeriod
-  /// consumes the handle, the cluster surface is frozen: Submit and
-  /// further Begin/Run calls fail with kFailedPrecondition. The caller
-  /// may do unrelated work — or drive other executors — in between.
-  Result<PendingPeriod> BeginPeriod();
-
-  /// Waits for every shard chain, refreshes the router's view, merges
-  /// the shard reports, and appends to history(). Consumes the handle:
-  /// a second EndPeriod on the same PendingPeriod is kFailedPrecondition.
-  Result<ClusterPeriodReport> EndPeriod(PendingPeriod& period);
-
-  /// The lock-step reference implementation the pipelined path is
-  /// byte-compared against: serial prepare over all shards, one
-  /// AdmitBatchParallel, then pooled completion tasks with a barrier
-  /// between phases. Same merged report (timing aside), more idle time.
-  Result<ClusterPeriodReport> RunPeriodBarriered();
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const ClusterOptions& options() const { return options_; }
   const ShardRouter& router() const { return router_; }
-  AdmissionExecutor& executor() { return executor_; }
+  TaskExecutor& executor() { return executor_; }
   const cloud::DsmsCenter& shard(int s) const {
     return *shards_[static_cast<size_t>(s)].center;
   }
@@ -275,8 +221,8 @@ class ClusterCenter {
     return overrides_;
   }
   const ShardRebalancer& rebalancer() const { return rebalancer_; }
-  /// Epoch of the most recently begun period (0 before the first).
-  /// The gate layer stamps its drain spans with this after RunPeriod.
+  /// Epoch of the most recently run period (0 before the first). The
+  /// gate layer stamps its drain spans with this after RunPeriod.
   uint64_t period_epoch() const { return period_epoch_; }
 
  private:
@@ -286,17 +232,17 @@ class ClusterCenter {
   };
 
   /// Shard s's whole period, run as one task on a pool worker: the
-  /// autoscaled prepare, the auction on the worker's own service (via
-  /// AdmitOn, so it lands in the rolling stats), and the completion.
-  /// Touches only shard-local state plus the worker context. `epoch` is
-  /// the issuing BeginPeriod's epoch, captured into the task so trace
-  /// spans carry the logical key without reading mutable cluster state.
+  /// autoscaled prepare, the auction on the worker's own service, and
+  /// the completion. Touches only shard-local state plus the worker
+  /// context. `epoch` is the issuing RunPeriod's epoch, captured into
+  /// the task so trace spans carry the logical key without reading
+  /// mutable cluster state.
   Result<cloud::PeriodReport> RunShardPeriod(int s, uint64_t epoch,
                                              WorkerContext& context);
-  /// The serial tail every period variant shares: refresh the router's
-  /// per-shard view, surface the lowest-shard-index error, merge the
-  /// reports, append to history, and run the rebalance stage.
-  /// `completed` is indexed by shard.
+  /// The serial period tail: refresh the router's per-shard view,
+  /// surface the lowest-shard-index error, merge the reports, append to
+  /// history, and run the rebalance stage. `completed` is indexed by
+  /// shard.
   Result<ClusterPeriodReport> MergeCompleted(
       std::vector<Result<cloud::PeriodReport>> completed,
       const Timer& timer);
@@ -326,19 +272,15 @@ class ClusterCenter {
   std::unordered_map<auction::UserId, TenantRecord> tenants_;
   PlacementOverrides overrides_;
   std::vector<MigrationPlan> migrations_;
-  bool period_in_flight_ = false;
-  /// Bumped by every BeginPeriod; the live PendingPeriod carries the
-  /// current value, so stale handle copies cannot end a later period.
+  /// Bumped by every RunPeriod; trace spans carry it as their epoch.
   uint64_t period_epoch_ = 0;
   /// Cluster-level telemetry instruments; null without options.metrics.
   telemetry::Counter* periods_metric_ = nullptr;
   telemetry::Counter* migrated_tenants_metric_ = nullptr;
   /// Declared last on purpose: members destroy in reverse declaration
-  /// order, and ~TaskExecutor (inside the facade) joins workers that
-  /// may still be running a shard's period chain — the pool must die
-  /// before the shards the chains dereference. This is what makes
-  /// dropping a PendingPeriod without EndPeriod safe.
-  AdmissionExecutor executor_;
+  /// order, so ~TaskExecutor joins the workers before the shards any
+  /// task could dereference are freed.
+  TaskExecutor executor_;
 };
 
 }  // namespace streambid::cluster

@@ -14,6 +14,8 @@ namespace streambid::cluster {
 namespace {
 
 constexpr size_t kInitialDequeCapacity = 64;
+/// Seeds each worker's fixed steal-victim scan rotation.
+constexpr uint64_t kStealSeed = 0x51EA15EEDULL;
 
 /// Identifies the pool (if any) the current thread belongs to, so
 /// in-task submissions land on the submitting worker's own deque and
@@ -32,8 +34,6 @@ TaskExecutor::TaskExecutor(const ExecutorOptions& options) {
   // actually use (affinity ∧ cgroup quota), not the raw core count,
   // which oversubscribes container-limited CI runners.
   if (n <= 0) n = AvailableCpuCount();
-  steal_enabled_ = options.steal;
-  steal_seed_ = options.steal_seed;
   max_queue_depth_.store(options.max_queue_depth > 0
                              ? static_cast<size_t>(options.max_queue_depth)
                              : 0);
@@ -188,13 +188,12 @@ bool TaskExecutor::FindWork(int worker_id, WorkItem* item, bool* stolen) {
     return true;
   }
   const int n = static_cast<int>(deques_.size());
-  if (!steal_enabled_ || n <= 1) return false;
+  if (n <= 1) return false;
   // Deterministic victim order: a fixed per-worker rotation of the
-  // other workers, derived from (steal_seed, worker id). Replays with
-  // the same seed scan in the same order; different workers start at
-  // different offsets so thieves don't convoy on one victim.
+  // other workers, derived from the worker id. Different workers start
+  // at different offsets so thieves don't convoy on one victim.
   const int start = static_cast<int>(
-      Mix64(steal_seed_ ^ static_cast<uint64_t>(worker_id)) %
+      Mix64(kStealSeed ^ static_cast<uint64_t>(worker_id)) %
       static_cast<uint64_t>(n - 1));
   for (int k = 0; k < n - 1; ++k) {
     const int victim = (worker_id + 1 + (start + k) % (n - 1)) % n;
@@ -277,15 +276,9 @@ void TaskExecutor::NotifyWorkers() {
     MutexLock lock(wake_mutex_);
     ++work_epoch_;
   }
-  if (steal_enabled_ && deques_.size() > 1) {
-    // Any single worker can run any item (it will steal it), so waking
-    // one is enough per pushed item.
-    work_cv_.NotifyOne();
-  } else {
-    // Without stealing only the owner can run the item; wake everyone
-    // so the owner is among them.
-    work_cv_.NotifyAll();
-  }
+  // Any single worker can run any item (it will steal it), so waking
+  // one is enough per pushed item.
+  work_cv_.NotifyOne();
 }
 
 void TaskExecutor::WorkerLoop(int worker_id) {

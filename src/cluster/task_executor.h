@@ -15,23 +15,24 @@
 // inside a task land on the submitting worker and run cache-hot — while
 // external submissions are spread round-robin across the deques. A
 // worker that finds its own deque empty steals FIFO from the front of a
-// victim's deque, scanning the other workers in a deterministic order
-// derived from (steal_seed, worker id), so the oldest queued work is
-// what migrates. Global coordination (the queue bound, the idle-worker
-// eventcount, ticket completion) is atomics + two narrow mutex/condvar
-// pairs; nothing on the Submit→execute path allocates in steady state:
-// tasks travel in small-buffer-optimized InlineFunction slots, ring
-// slots are recycled in place, and ticket completion slots come from a
-// lock-free free list (generation-tagged against ABA/stale handles).
+// victim's deque, scanning the other workers in a fixed per-worker
+// order, so the oldest queued work is what migrates. Global
+// coordination (the queue bound, the idle-worker eventcount, ticket
+// completion) is atomics + two narrow mutex/condvar pairs; nothing on
+// the Submit→execute path allocates in steady state: tasks travel in
+// small-buffer-optimized InlineFunction slots, ring slots are recycled
+// in place, and ticket completion slots come from a lock-free free list
+// (generation-tagged against ABA/stale handles).
 //
 // Determinism contract: the executor adds none of its own randomness to
 // results. A task's result is whatever the closure computes; closures
 // that are pure functions of their captures (the admission requests'
 // per-request RNG streams, a shard's private state) produce identical
-// results at every pool size, placement, steal seed, and interleaving —
-// stealing only moves *where* a task runs, never what it computes. That
-// is what lets the ClusterCenter pipeline whole periods through this
-// pool and still replay byte-identically with stealing on or off.
+// results at every pool size, placement, and interleaving — stealing
+// only moves *where* a task runs, never what it computes. That is what
+// lets the ClusterCenter run whole periods through this pool and still
+// replay byte-identically at every pool size (a pool of one never
+// steals, so it is the single-queue reference).
 //
 // Surfaces:
 //  - Submit / TrySubmit -> Ticket<T>: async submission with typed
@@ -90,16 +91,6 @@ struct ExecutorOptions {
   /// space and TrySubmit returns kResourceExhausted — the backpressure
   /// contract for async producers.
   int max_queue_depth = 0;
-  /// Work stealing. On (the default), an idle worker steals the oldest
-  /// task from a victim's deque. Off, every worker runs only its own
-  /// deque — the single-queue-equivalent reference mode the replay
-  /// tests compare against. Results are identical either way (the
-  /// determinism contract); only placement and latency change.
-  bool steal = true;
-  /// Seed for the deterministic steal-victim scan order. Each worker
-  /// derives its fixed scan rotation from Mix64(steal_seed ^ worker_id);
-  /// replays with the same seed scan victims in the same order.
-  uint64_t steal_seed = 0x51EA15EEDULL;
   /// Optional telemetry sink. When set, the executor publishes
   /// executor_tasks_executed / executor_tasks_stolen /
   /// executor_tasks_local / executor_queue_depth /
@@ -185,7 +176,7 @@ class TaskExecutor {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Worker w's admission service — exposed so facades can validate
+  /// Worker w's admission service — exposed so callers can validate
   /// requests against the same registry the workers execute with.
   /// Const registry reads (Validate, HasMechanism, MechanismNames) are
   /// safe concurrently with tasks running on worker w; anything that
@@ -418,7 +409,7 @@ class TaskExecutor {
   /// Thief pop: top (FIFO) of `victim`'s deque.
   bool StealFrom(int victim, WorkItem* item);
   /// One full scan: own deque first, then the victims in this worker's
-  /// seeded order (no-op beyond the own deque when stealing is off).
+  /// fixed order.
   bool FindWork(int worker_id, WorkItem* item, bool* stolen);
 
   // -- Parking (eventcount) -----------------------------------------
@@ -448,8 +439,6 @@ class TaskExecutor {
   std::vector<std::unique_ptr<service::AdmissionService>> services_;
   std::vector<std::unique_ptr<WorkerDeque>> deques_;
   std::vector<std::thread> workers_;
-  bool steal_enabled_ = true;
-  uint64_t steal_seed_ = 0;
 
   // -- Lifecycle ----------------------------------------------------
   std::atomic<bool> stopping_{false};  ///< Destructor: discard queued work.

@@ -11,7 +11,7 @@
 // production hang. This header closes that gap three ways:
 //
 //  1. The rank table below declares one total order over every mutex:
-//     gate → cluster → executor → telemetry → leaf. A thread may only
+//     gate → executor → telemetry → leaf. A thread may only
 //     acquire a mutex of STRICTLY GREATER rank than every mutex it
 //     already holds. Mutexes that are never held together still get
 //     ranks, so the sanctioned order pre-exists the first nesting
@@ -52,11 +52,6 @@ enum class LockRank : int {
   /// TicketHolder::mutex_ — one per (mechanism, tenant-class) pool;
   /// held across the FIFO grant protocol (and its condvar waits).
   kGateTicketPool = 110,
-
-  // -- Cluster layer ------------------------------------------------
-  /// AdmissionExecutor::WorkerStats::mutex — per-worker rolling-stats
-  /// shards (striped; never held together).
-  kClusterWorkerStats = 200,
 
   // -- Executor layer (the task runtime's internal locks) -----------
   /// TaskExecutor::WorkerDeque::mutex — per-worker ring deques
@@ -102,7 +97,6 @@ struct RankTableEntry {
 inline constexpr RankTableEntry kRankTable[] = {
     {LockRank::kGateIngress, "kGateIngress"},
     {LockRank::kGateTicketPool, "kGateTicketPool"},
-    {LockRank::kClusterWorkerStats, "kClusterWorkerStats"},
     {LockRank::kExecutorDeque, "kExecutorDeque"},
     {LockRank::kExecutorGrow, "kExecutorGrow"},
     {LockRank::kExecutorWake, "kExecutorWake"},

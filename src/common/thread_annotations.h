@@ -81,9 +81,9 @@ namespace streambid {
 /// lock hierarchy (common/lock_order.h). The boundaries below are never
 /// locked; they exist so every Mutex member — whose ACQUIRED_BEFORE /
 /// ACQUIRED_AFTER arguments must name capabilities visible at its
-/// declaration — can chain to the layer order (gate → cluster →
-/// executor → telemetry → leaf) even when its real neighbors live in
-/// other classes. Clang parses the chain today and checks it wherever
+/// declaration — can chain to the layer order (gate → executor →
+/// telemetry → leaf) even when its real neighbors live in other
+/// classes. Clang parses the chain today and checks it wherever
 /// -Wthread-safety-beta is enabled; the lock-order lint and the runtime
 /// sentinel enforce the same order unconditionally.
 class CAPABILITY("mutex") RankBoundary {
@@ -94,10 +94,8 @@ class CAPABILITY("mutex") RankBoundary {
 };
 
 inline constexpr RankBoundary kGateRankBoundary;
-inline constexpr RankBoundary kClusterRankBoundary
-    ACQUIRED_AFTER(kGateRankBoundary);
 inline constexpr RankBoundary kExecutorRankBoundary
-    ACQUIRED_AFTER(kClusterRankBoundary);
+    ACQUIRED_AFTER(kGateRankBoundary);
 inline constexpr RankBoundary kTelemetryRankBoundary
     ACQUIRED_AFTER(kExecutorRankBoundary);
 inline constexpr RankBoundary kLeafRankBoundary

@@ -110,15 +110,13 @@ Result<GatedPeriodReport> StreamIngress::ClosePeriod() {
   for (Buffered& item : batch) {
     submissions.push_back(std::move(item.submission));
   }
-  const Result<cluster::BatchSubmitOutcome> outcome =
+  const cluster::BatchSubmitOutcome outcome =
       center_->SubmitBatch(std::move(submissions));
 
-  // Recycle the batch's tickets whether or not the drain succeeded —
-  // a ticket's job ended when its submission left the gate buffer.
+  // A ticket's job ended when its submission left the gate buffer.
   for (const Buffered& item : batch) {
     pools_[static_cast<size_t>(item.tenant_class)]->Release();
   }
-  STREAMBID_RETURN_IF_ERROR(outcome.status());
   const double drain_end_ms = tracer != nullptr ? tracer->NowMs() : 0.0;
 
   GatedPeriodReport gated;
@@ -131,8 +129,8 @@ Result<GatedPeriodReport> StreamIngress::ClosePeriod() {
 
   gated.gate.offered = offered;
   gated.gate.shed = shed;
-  gated.gate.admitted = outcome->accepted;
-  gated.gate.dropped = outcome->rejected;
+  gated.gate.admitted = outcome.accepted;
+  gated.gate.dropped = outcome.rejected;
   WaitHistogram merged;
   gated.gate.pools.reserve(pools_.size());
   for (const std::unique_ptr<TicketHolder>& pool : pools_) {
@@ -144,11 +142,11 @@ Result<GatedPeriodReport> StreamIngress::ClosePeriod() {
 
   total_offered_ += offered;
   total_shed_ += shed;
-  total_admitted_ += outcome->accepted;
+  total_admitted_ += outcome.accepted;
 
   if (admitted_metric_ != nullptr) {
-    admitted_metric_->Increment(outcome->accepted);
-    dropped_metric_->Increment(outcome->rejected);
+    admitted_metric_->Increment(outcome.accepted);
+    dropped_metric_->Increment(outcome.rejected);
     wait_p99_metric_->Set(gated.gate.wait_p99_ms);
   }
 
@@ -156,16 +154,16 @@ Result<GatedPeriodReport> StreamIngress::ClosePeriod() {
     // One probe epoch per period, judged on what the gate actually
     // admitted; the decision replays from (admit history, seed).
     const ProbeDecision decision =
-        probe_.Observe(static_cast<double>(outcome->accepted));
+        probe_.Observe(static_cast<double>(outcome.accepted));
     const int classes = static_cast<int>(pools_.size());
     const int per_class = std::max(1, decision.concurrency / classes);
     for (const std::unique_ptr<TicketHolder>& pool : pools_) {
       STREAMBID_RETURN_IF_ERROR(pool->Resize(per_class));
     }
     // Mirror the probed concurrency onto the executor backlog bound,
-    // never below the period fan-out (one chain per shard — see
-    // ClusterOptions::executor_queue_depth).
-    STREAMBID_RETURN_IF_ERROR(center_->executor().tasks().SetMaxQueueDepth(
+    // never below the period fan-out (one chain per shard), so
+    // RunPeriod never waits for queue space to submit its chains.
+    STREAMBID_RETURN_IF_ERROR(center_->executor().SetMaxQueueDepth(
         std::max(decision.concurrency, center_->num_shards())));
     if (probe_concurrency_metric_ != nullptr) {
       probe_concurrency_metric_->Set(

@@ -178,7 +178,7 @@ class StreamIngress {
   ThroughputProbe probe_;
 
   mutable Mutex mutex_ ACQUIRED_AFTER(kGateRankBoundary)
-      ACQUIRED_BEFORE(kClusterRankBoundary) =
+      ACQUIRED_BEFORE(kExecutorRankBoundary) =
           Mutex{LockRank::kGateIngress, "gate/ingress"};
   /// Ticket-holding submissions awaiting the next drain, with the class
   /// whose pool each ticket came from.

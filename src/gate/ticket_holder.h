@@ -113,7 +113,7 @@ class TicketHolder {
 
   const std::string name_;
   mutable Mutex mutex_ ACQUIRED_AFTER(kGateRankBoundary)
-      ACQUIRED_BEFORE(kClusterRankBoundary) =
+      ACQUIRED_BEFORE(kExecutorRankBoundary) =
           Mutex{LockRank::kGateTicketPool, "gate/ticket_pool"};
   CondVar cv_;
   int capacity_ GUARDED_BY(mutex_);

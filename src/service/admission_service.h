@@ -131,9 +131,9 @@ class AdmissionService {
 
   /// Checks a request without running it: kInvalidArgument for a null
   /// instance or negative capacity, kNotFound for an unknown mechanism.
-  /// Admit/AdmitBatch validate internally; this is exposed so batching
-  /// layers (the cluster AdmissionExecutor) can fail fast at enqueue
-  /// time with the same errors the serial path would produce.
+  /// Admit/AdmitBatch validate internally; this is exposed so callers
+  /// that queue requests for later can fail fast at enqueue time with
+  /// the same errors the serial path would produce.
   Status Validate(const AdmissionRequest& request) const;
 
   /// Claimed Table-I properties of a registered mechanism; kNotFound

@@ -1,5 +1,5 @@
 // Copyright 2026 The streambid Authors
-// ClusterCenter: sharded periods through the parallel executor must be
+// ClusterCenter: sharded periods through the executor pool must be
 // indistinguishable from each shard running alone, and routing policies
 // must steer submissions as documented.
 
@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "stream/query_builder.h"
@@ -95,61 +97,133 @@ TEST(ClusterCenterTest, MergesShardReports) {
   EXPECT_EQ(cluster.history().size(), 1u);
 }
 
-TEST(ClusterCenterTest, ShardsMatchStandaloneCenters) {
-  // The acceptance bar for the cluster layer: N shards driven through
-  // the parallel executor produce exactly the periods each center would
-  // produce on its own.
-  const ClusterOptions options = BaseOptions(2, RoutingPolicy::kHashUser);
+/// Bursty tenant count per period: spikes, a trickle, and one fully
+/// idle period, so the reference check covers loaded, light, and
+/// no-auction shards.
+int TenantsFor(int period) {
+  if (period == 5) return 0;
+  return period % 3 == 0 ? 10 : 4;
+}
+
+void ExpectReportsIdentical(const cloud::PeriodReport& actual,
+                            const cloud::PeriodReport& expected) {
+  EXPECT_EQ(actual.period, expected.period);
+  EXPECT_EQ(actual.mechanism, expected.mechanism);
+  EXPECT_EQ(actual.submissions, expected.submissions);
+  EXPECT_EQ(actual.admitted, expected.admitted);
+  EXPECT_EQ(actual.admitted_ids, expected.admitted_ids);
+  EXPECT_EQ(actual.payments, expected.payments);
+  // Byte-identical doubles: the pool must be invisible, not "close".
+  EXPECT_EQ(actual.revenue, expected.revenue);
+  EXPECT_EQ(actual.total_payoff, expected.total_payoff);
+  EXPECT_EQ(actual.auction_utilization, expected.auction_utilization);
+  EXPECT_EQ(actual.measured_utilization, expected.measured_utilization);
+  EXPECT_EQ(actual.shed_fraction, expected.shed_fraction);
+  EXPECT_EQ(actual.provisioned_capacity, expected.provisioned_capacity);
+  EXPECT_EQ(actual.energy_cost, expected.energy_cost);
+  ASSERT_EQ(actual.autoscale_decision.has_value(),
+            expected.autoscale_decision.has_value());
+  if (actual.autoscale_decision.has_value()) {
+    EXPECT_EQ(actual.autoscale_decision->capacity,
+              expected.autoscale_decision->capacity);
+    EXPECT_EQ(actual.autoscale_decision->changed,
+              expected.autoscale_decision->changed);
+    EXPECT_EQ(actual.autoscale_decision->reason,
+              expected.autoscale_decision->reason);
+  }
+}
+
+/// Runs 8 periods of the bursty workload through a 4-shard cluster and
+/// through 4 standalone DsmsCenter twins (same capacity split, same
+/// per-shard seeds and autoscaler, same engine configuration), fed the
+/// same submissions in the same order, and checks every shard report
+/// and merged total. Returns whether any autoscaler changed capacity.
+bool ExpectClusterMatchesTwins(int executor_threads, bool autoscale) {
+  constexpr int kShards = 4;
+  constexpr int kPeriods = 8;
+  ClusterOptions options = BaseOptions(kShards, RoutingPolicy::kHashUser);
+  options.executor_threads = executor_threads;
+  if (autoscale) {
+    options.autoscale.enabled = true;
+    options.autoscale.min_capacity_ratio = 0.25;
+    options.autoscale.min_dwell_periods = 2;
+  }
   ClusterCenter cluster(options, RegisterQuotes);
 
-  // Standalone twins of the two shards: same capacity split, same
-  // per-shard seeds, same engine configuration.
   stream::EngineOptions engine_options = options.engine_options;
-  engine_options.capacity = options.total_capacity / 2;
-  stream::Engine engine_a(engine_options);
-  stream::Engine engine_b(engine_options);
-  ASSERT_TRUE(RegisterQuotes(engine_a).ok());
-  ASSERT_TRUE(RegisterQuotes(engine_b).ok());
-  cloud::DsmsCenterOptions center_options;
-  center_options.period_length = options.period_length;
-  center_options.mechanism = options.mechanism;
-  center_options.load_options = options.load_options;
-  center_options.seed = options.seed;
-  cloud::DsmsCenter center_a(center_options, &engine_a);
-  center_options.seed = options.seed + 1;
-  cloud::DsmsCenter center_b(center_options, &engine_b);
-  cloud::DsmsCenter* standalone[2] = {&center_a, &center_b};
+  engine_options.capacity = options.total_capacity / kShards;
+  std::vector<std::unique_ptr<stream::Engine>> engines;
+  std::vector<std::unique_ptr<cloud::DsmsCenter>> twins;
+  for (int s = 0; s < kShards; ++s) {
+    engines.push_back(std::make_unique<stream::Engine>(engine_options));
+    EXPECT_TRUE(RegisterQuotes(*engines.back()).ok());
+    cloud::DsmsCenterOptions center_options;
+    center_options.period_length = options.period_length;
+    center_options.mechanism = options.mechanism;
+    center_options.load_options = options.load_options;
+    center_options.seed = options.seed + static_cast<uint64_t>(s);
+    center_options.autoscale = options.autoscale;
+    twins.push_back(std::make_unique<cloud::DsmsCenter>(
+        center_options, engines.back().get()));
+  }
 
-  for (int period = 0; period < 2; ++period) {
-    for (int id = 1; id <= 8; ++id) {
+  bool any_change = false;
+  for (int period = 0; period < kPeriods; ++period) {
+    for (int t = 1; t <= TenantsFor(period); ++t) {
       QuerySubmission sub = MakeSubmission(
-          id, id, 70.0 - 4.0 * id - period, 100.0 + 5.0 * (id % 3));
-      const int shard =
-          static_cast<int>(ShardRouter::HashUser(sub.user) % 2ull);
-      ASSERT_TRUE(standalone[shard]->Submit(sub).ok());
+          t, t, 55.0 - 3.0 * t - period, 100.0 + 5.0 * (t % 4));
+      const int shard = static_cast<int>(
+          ShardRouter::HashUser(sub.user) % static_cast<uint64_t>(kShards));
+      EXPECT_TRUE(twins[static_cast<size_t>(shard)]->Submit(sub).ok());
       const auto routed = cluster.Submit(std::move(sub));
-      ASSERT_TRUE(routed.ok());
-      ASSERT_EQ(*routed, shard);
+      EXPECT_EQ(routed.ok() ? *routed : -1, shard);
     }
     const auto merged = cluster.RunPeriod();
-    ASSERT_TRUE(merged.ok());
-    for (int s = 0; s < 2; ++s) {
-      const auto expected = standalone[s]->RunPeriod();
-      ASSERT_TRUE(expected.ok());
-      const cloud::PeriodReport& actual =
-          merged->shard_reports[static_cast<size_t>(s)];
-      EXPECT_EQ(actual.period, expected->period);
-      EXPECT_EQ(actual.submissions, expected->submissions);
-      EXPECT_EQ(actual.admitted, expected->admitted);
-      EXPECT_EQ(actual.admitted_ids, expected->admitted_ids);
-      EXPECT_EQ(actual.payments, expected->payments);
-      EXPECT_EQ(actual.revenue, expected->revenue);
-      EXPECT_EQ(actual.total_payoff, expected->total_payoff);
-      EXPECT_EQ(actual.auction_utilization,
-                expected->auction_utilization);
-      EXPECT_EQ(actual.measured_utilization,
-                expected->measured_utilization);
+    EXPECT_TRUE(merged.ok()) << merged.status().ToString();
+    if (!merged.ok()) return any_change;
+    EXPECT_EQ(merged->period, period);
+    EXPECT_EQ(merged->shard_reports.size(), static_cast<size_t>(kShards));
+    int submissions = 0;
+    int admitted = 0;
+    double revenue = 0.0;
+    double provisioned = 0.0;
+    double energy = 0.0;
+    for (int s = 0; s < kShards; ++s) {
+      const auto expected = twins[static_cast<size_t>(s)]->RunPeriod();
+      EXPECT_TRUE(expected.ok());
+      if (!expected.ok()) continue;
+      SCOPED_TRACE("pool " + std::to_string(executor_threads) +
+                   " autoscale " + std::to_string(autoscale) + " period " +
+                   std::to_string(period) + " shard " + std::to_string(s));
+      ExpectReportsIdentical(merged->shard_reports[static_cast<size_t>(s)],
+                             *expected);
+      submissions += expected->submissions;
+      admitted += expected->admitted;
+      revenue += expected->revenue;
+      provisioned += expected->provisioned_capacity;
+      energy += expected->energy_cost;
+      any_change = any_change || (expected->autoscale_decision.has_value() &&
+                                  expected->autoscale_decision->changed);
     }
+    EXPECT_EQ(merged->submissions, submissions);
+    EXPECT_EQ(merged->admitted, admitted);
+    EXPECT_EQ(merged->revenue, revenue);
+    EXPECT_EQ(merged->provisioned_capacity, provisioned);
+    EXPECT_EQ(merged->energy_cost, energy);
+  }
+  return any_change;
+}
+
+TEST(ClusterCenterTest, ShardsMatchStandaloneCenters) {
+  // The reference for the cluster's one period path: N shards driven
+  // through the executor pool produce exactly the periods each center
+  // would produce on its own, at every pool size, with and without
+  // per-shard autoscaling.
+  for (const int threads : {1, 2, 8}) {
+    EXPECT_FALSE(ExpectClusterMatchesTwins(threads, /*autoscale=*/false));
+    // The autoscaled runs must actually move capacity to count as
+    // coverage of the prepare stage's candidate grid.
+    EXPECT_TRUE(ExpectClusterMatchesTwins(threads, /*autoscale=*/true));
   }
 }
 
@@ -316,7 +390,7 @@ TEST(ClusterCenterTest, UtilizationWeightedByDivergedCapacities) {
 }
 
 // --- Error paths: a submission the shard rejects must not bias the
-// router's view, and a BeginPeriod that cannot reach the executor must
+// router's view, and a RunPeriod that cannot reach the executor must
 // leave the surface usable. ---
 
 TEST(ClusterCenterTest, FailedSubmitLeavesStatusesUntouched) {
@@ -351,24 +425,31 @@ TEST(ClusterCenterTest, FailedSubmitLeavesStatusesUntouched) {
   }
 }
 
-TEST(ClusterCenterTest, BeginPeriodAfterShutdownRestoresSurface) {
+TEST(ClusterCenterTest, RunPeriodAfterShutdownFailsCleanly) {
   ClusterCenter cluster(BaseOptions(2, RoutingPolicy::kHashUser),
                         RegisterQuotes);
   ASSERT_TRUE(cluster.Submit(MakeSubmission(1, 1, 40.0, 105.0)).ok());
-  ASSERT_TRUE(cluster.executor().tasks().Shutdown().ok());
+  const std::vector<ShardStatus> before = cluster.shard_statuses();
+  ASSERT_TRUE(cluster.executor().Shutdown().ok());
 
-  // The chains cannot be submitted: the error surfaces...
-  const auto period = cluster.BeginPeriod();
-  ASSERT_FALSE(period.ok());
-  EXPECT_EQ(period.status().code(), StatusCode::kFailedPrecondition);
+  // The chains cannot be submitted: the error surfaces, and no period
+  // was recorded or merged into the router's view...
+  const auto report = cluster.RunPeriod();
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(cluster.history().empty());
+  const std::vector<ShardStatus>& after = cluster.shard_statuses();
+  for (size_t s = 0; s < before.size(); ++s) {
+    EXPECT_EQ(after[s].pending_count, before[s].pending_count) << s;
+    EXPECT_DOUBLE_EQ(after[s].pending_load, before[s].pending_load) << s;
+    EXPECT_EQ(after[s].has_history, before[s].has_history) << s;
+  }
 
-  // ...and period_in_flight_ was restored, so the surface still
-  // accepts submissions and reports the executor error again (not a
-  // bogus "period already in flight").
+  // ...so the surface still accepts submissions, and a second RunPeriod
+  // reports the same executor error.
   EXPECT_TRUE(cluster.Submit(MakeSubmission(2, 2, 30.0, 110.0)).ok());
-  const auto again = cluster.BeginPeriod();
-  ASSERT_FALSE(again.ok());
-  EXPECT_NE(again.status().message(), "a period is already in flight");
+  EXPECT_EQ(cluster.RunPeriod().status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(ClusterCenterTest, SingleShardDegeneratesToOneCenter) {

@@ -529,27 +529,6 @@ TEST(TaskExecutorTest, IdleWorkersStealHotOwnersBacklog) {
   EXPECT_EQ(executor.pending_tasks(), 0);
 }
 
-TEST(TaskExecutorTest, StealingDisabledStillDrainsEveryDeque) {
-  ExecutorOptions options;
-  options.num_threads = 4;
-  options.steal = false;
-  TaskExecutor executor(options);
-  std::vector<Ticket<int>> tickets;
-  for (int i = 0; i < 64; ++i) {
-    const auto ticket = executor.Submit<int>(
-        [i](WorkerContext&) -> Result<int> { return i; });
-    ASSERT_TRUE(ticket.ok());
-    tickets.push_back(*ticket);
-  }
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(*executor.Wait(tickets[static_cast<size_t>(i)]), i);
-  }
-  const TaskExecutorStats stats = executor.StatsReport();
-  EXPECT_EQ(stats.executed, 64);
-  EXPECT_EQ(stats.stolen, 0);
-  EXPECT_EQ(stats.local_hits, 64);
-}
-
 TEST(TaskExecutorTest, ResetStatsOpensCoherentWindow) {
   TaskExecutor executor(ExecutorOptions{2, 0});
   for (int i = 0; i < 8; ++i) {

@@ -241,9 +241,8 @@ TEST(StreamIngressTest, ClusterRefusalsAtDrainCountAsDropped) {
 }
 
 TEST(StreamIngressTest, ProbeResizesPoolsAndExecutorQueueDepth) {
-  cluster::ClusterOptions cluster_options = BaseClusterOptions();
-  cluster_options.executor_queue_depth = 64;
-  cluster::ClusterCenter center(cluster_options, RegisterQuotes);
+  cluster::ClusterCenter center(BaseClusterOptions(), RegisterQuotes);
+  ASSERT_TRUE(center.executor().SetMaxQueueDepth(64).ok());
   IngressOptions options;
   options.tenant_classes = 2;
   options.tickets_per_class = 8;
@@ -269,7 +268,7 @@ TEST(StreamIngressTest, ProbeResizesPoolsAndExecutorQueueDepth) {
     const int per_class = std::max(1, decision.concurrency / 2);
     EXPECT_EQ(gate.pool(0).capacity(), per_class);
     EXPECT_EQ(gate.pool(1).capacity(), per_class);
-    EXPECT_EQ(center.executor().tasks().max_queue_depth(),
+    EXPECT_EQ(center.executor().max_queue_depth(),
               std::max(decision.concurrency, center.num_shards()));
   }
 }
