@@ -19,10 +19,8 @@
 //  3. Exposition: prints the span census per phase and a registry
 //     excerpt, and drops a Perfetto-loadable Chrome trace next to the
 //     JSON artifact.
-//  4. Executor allocation audit: a warmed 8-worker TaskExecutor runs
-//     thousands of Submit→execute→Wait cycles under the counting
-//     operator new (alloc_probe.cc); CHECKs the steady state performed
-//     exactly zero heap allocations and zero inline-task-slot spills.
+//
+// The executor's allocation audit lives in bench_firehose.
 //
 // Emits BENCH_telemetry.json (throughputs, overhead fraction, span and
 // series counts) — the perf-trajectory artifact CI uploads per PR.
@@ -35,11 +33,8 @@
 #include <string>
 #include <vector>
 
-#include "bench/alloc_probe.h"
 #include "bench/bench_common.h"
-#include "cluster/task_executor.h"
 #include "common/check.h"
-#include "common/inline_function.h"
 #include "common/timer.h"
 #include "gate/stream_ingress.h"
 #include "stream/query_builder.h"
@@ -252,70 +247,11 @@ int main(int argc, char** argv) {
   std::printf("# wrote telemetry_trace.json (chrome://tracing / "
               "Perfetto)\n");
 
-  // -- Experiment 4: executor allocation audit. ------------------------
-  // The work-stealing executor promises an allocation-free steady
-  // state on the Submit→execute→Wait path: tasks travel in inline
-  // slots, deque rings are recycled in place, and ticket slots come
-  // from a free list. The probe's counting operator new turns that
-  // from a comment into a CHECKed property.
-  double audit_tasks_per_sec = 0.0;
-  int64_t audit_allocs = 0;
-  {
-    cluster::ExecutorOptions exec_options;
-    exec_options.num_threads = 8;
-    cluster::TaskExecutor executor(exec_options);
-    auto run_cycles = [&executor](int cycles) {
-      int64_t acc = 0;
-      for (int i = 0; i < cycles; ++i) {
-        const auto ticket = executor.Submit<int>(
-            [i](cluster::WorkerContext&) -> Result<int> { return i; });
-        STREAMBID_CHECK(ticket.ok());
-        const Result<int> result = executor.Wait(ticket.value());
-        STREAMBID_CHECK(result.ok());
-        acc += result.value();
-      }
-      return acc;
-    };
-    // Warm every per-worker ring, the ticket table, and the free lists;
-    // the audited window must hit only recycled storage.
-    run_cycles(512);
-    const int audited = smoke ? 2000 : 20000;
-    const int64_t heap_before = bench::AllocCount();
-    const int64_t spills_before = InlineFunctionHeapFallbacks();
-    Timer audit_timer;
-    const int64_t acc = run_cycles(audited);
-    const double audit_seconds = audit_timer.ElapsedSeconds();
-    STREAMBID_CHECK_EQ(
-        acc, static_cast<int64_t>(audited) * (audited - 1) / 2);
-    audit_allocs = bench::AllocCount() - heap_before;
-    audit_tasks_per_sec = audited / audit_seconds;
-    const cluster::TaskExecutorStats pool = executor.StatsReport();
-    STREAMBID_CHECK_EQ(pool.local_hits + pool.stolen, pool.executed);
-    std::printf("# executor audit: %d submit→wait cycles, %.0f tasks/s, "
-                "%lld heap allocations, %lld inline-slot spills "
-                "(%lld stolen / %lld local)\n",
-                audited, audit_tasks_per_sec,
-                static_cast<long long>(audit_allocs),
-                static_cast<long long>(InlineFunctionHeapFallbacks() -
-                                       spills_before),
-                static_cast<long long>(pool.stolen),
-                static_cast<long long>(pool.local_hits));
-    // The headline CHECK: zero steady-state allocations on the
-    // Submit→execute→Wait path (skipped only where a sanitizer owns
-    // the allocator and the probe cannot hook it).
-    if (bench::AllocProbeAvailable()) {
-      STREAMBID_CHECK_EQ(audit_allocs, 0);
-    }
-    STREAMBID_CHECK_EQ(InlineFunctionHeapFallbacks() - spills_before, 0);
-  }
-
   bench::WriteBenchJson(
       "telemetry",
       {{"admit_throughput_noop_sink", throughput_off},
        {"admit_throughput_full_instrumentation", throughput_full},
        {"overhead_fraction", overhead},
-       {"executor_submit_wait_tasks_per_sec", audit_tasks_per_sec},
-       {"executor_audit_heap_allocs", static_cast<double>(audit_allocs)},
        {"spans_recorded", static_cast<double>(tracer.span_count())},
        {"metric_series", static_cast<double>(series)},
        {"reports_identical", 1.0}});

@@ -101,8 +101,7 @@ int main() {
     std::printf("pool worker %zu ran %lld period tasks\n", w,
                 static_cast<long long>(stats.tasks_per_worker[w]));
   }
-  std::printf("pool: %lld tasks executed, queue high-water mark %lld\n",
-              static_cast<long long>(stats.executed),
-              static_cast<long long>(stats.queue_high_water));
+  std::printf("pool: %lld tasks executed\n",
+              static_cast<long long>(stats.executed));
   return 0;
 }

@@ -15,6 +15,20 @@
 
 namespace streambid::cluster {
 
+namespace {
+
+/// The first failing result of a fan-out, in task order; OK when every
+/// task succeeded.
+template <typename T>
+Status FirstError(const std::vector<Result<T>>& results) {
+  for (const Result<T>& result : results) {
+    if (!result.ok()) return result.status();
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 ClusterCenter::ClusterCenter(const ClusterOptions& options,
                              const EngineConfigurator& configure_engine)
     : options_(options),
@@ -140,31 +154,14 @@ Result<cloud::PeriodReport> ClusterCenter::RunShardPeriod(
 Result<ClusterPeriodReport> ClusterCenter::RunPeriod() {
   Timer timer;
   const uint64_t epoch = ++period_epoch_;
-  std::vector<Ticket<cloud::PeriodReport>> tickets;
-  tickets.reserve(shards_.size());
+  std::vector<TaskExecutor::Task<cloud::PeriodReport>> chains;
+  chains.reserve(shards_.size());
   for (int s = 0; s < num_shards(); ++s) {
-    const Result<Ticket<cloud::PeriodReport>> ticket =
-        executor_.Submit<cloud::PeriodReport>(
-            [this, s, epoch](WorkerContext& context) {
-              return RunShardPeriod(s, epoch, context);
-            });
-    if (!ticket.ok()) {
-      // Submission can only fail on a shut-down executor; wait out the
-      // chains already in flight so no task outlives this call, then
-      // surface the error.
-      for (const Ticket<cloud::PeriodReport> t : tickets) {
-        (void)executor_.Wait(t);
-      }
-      return ticket.status();
-    }
-    tickets.push_back(*ticket);
+    chains.push_back([this, s, epoch](WorkerContext& context) {
+      return RunShardPeriod(s, epoch, context);
+    });
   }
-  std::vector<Result<cloud::PeriodReport>> completed;
-  completed.reserve(tickets.size());
-  for (const Ticket<cloud::PeriodReport> ticket : tickets) {
-    completed.push_back(executor_.Wait(ticket));
-  }
-  return MergeCompleted(std::move(completed), timer);
+  return MergeCompleted(executor_.RunAll(chains), timer);
 }
 
 Result<ClusterPeriodReport> ClusterCenter::MergeCompleted(
@@ -335,14 +332,14 @@ Status ClusterCenter::RebalanceAfterPeriod() {
           return extracted;
         });
   }
-  STREAMBID_ASSIGN_OR_RETURN(
-      std::vector<Extracted> extracted_per_source,
-      executor_.RunAll(std::move(extract_tasks)));
+  std::vector<Result<Extracted>> extracted_per_source =
+      executor_.RunAll(extract_tasks);
+  STREAMBID_RETURN_IF_ERROR(FirstError(extracted_per_source));
 
   // Reassemble per destination on the caller's thread.
   std::unordered_map<auction::UserId, cloud::TenantState> state_of;
   for (size_t k = 0; k < sources.size(); ++k) {
-    Extracted& extracted = extracted_per_source[k];
+    Extracted& extracted = *extracted_per_source[k];
     ShardStatus& status = statuses_[static_cast<size_t>(sources[k])];
     status.pending_load =
         std::max(0.0, status.pending_load - extracted.pending_load);
@@ -386,14 +383,14 @@ Status ClusterCenter::RebalanceAfterPeriod() {
           return adopted;
         });
   }
-  STREAMBID_ASSIGN_OR_RETURN(
-      std::vector<Adopted> adopted_per_destination,
-      executor_.RunAll(std::move(adopt_tasks)));
+  const std::vector<Result<Adopted>> adopted_per_destination =
+      executor_.RunAll(adopt_tasks);
+  STREAMBID_RETURN_IF_ERROR(FirstError(adopted_per_destination));
   for (size_t k = 0; k < destinations.size(); ++k) {
     ShardStatus& status =
         statuses_[static_cast<size_t>(destinations[k])];
-    status.pending_load += adopted_per_destination[k].pending_load;
-    status.pending_count += adopted_per_destination[k].pending_count;
+    status.pending_load += adopted_per_destination[k]->pending_load;
+    status.pending_count += adopted_per_destination[k]->pending_count;
   }
 
   // --- Commit the placement: pin the tenants to their new homes. ---

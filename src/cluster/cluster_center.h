@@ -7,8 +7,8 @@
 // spawned, and shards flow through their stages independently instead
 // of barriering between phases.
 //
-// RunPeriod() is the one period path. It submits one dependency chain
-// per shard to the pool, waits for all of them, and merges:
+// RunPeriod() is the one period path. It runs one dependency chain per
+// shard as a single RunAll batch on the pool, then merges:
 //
 //   shard k:  PrepareAuction ──▶ Admit (worker service) ──▶ CompletePeriod
 //             (autoscaler grid)                             (transition +
@@ -105,7 +105,7 @@ struct ClusterOptions {
   /// traffic, and therefore its signal, is exact again).
   RebalancerOptions rebalance;
   /// Optional telemetry sink, fanned through every layer the cluster
-  /// owns: the executor (queue depth, task latency), each worker's
+  /// owns: the executor (task count, task latency), each worker's
   /// admission service, and each shard's DsmsCenter (per-shard labeled
   /// business series), plus the cluster's own period/migration
   /// counters. Null (the default) disables all of it. Must outlive the
@@ -187,17 +187,17 @@ class ClusterCenter {
   /// successors.
   BatchSubmitOutcome SubmitBatch(std::vector<stream::QuerySubmission> batch);
 
-  /// Runs one period: submits every shard's chain (prepare -> admit ->
-  /// complete) to the executor pool, waits for all of them, refreshes
-  /// the router's view, merges the shard reports, appends to history(),
-  /// and runs the rebalance stage. kFailedPrecondition once the
-  /// executor has been shut down.
+  /// Runs one period: runs every shard's chain (prepare -> admit ->
+  /// complete) as one RunAll batch on the executor pool, refreshes the
+  /// router's view, merges the shard reports, appends to history(), and
+  /// runs the rebalance stage. A failed chain surfaces as the
+  /// lowest-shard-index error, with no report appended to history().
   Result<ClusterPeriodReport> RunPeriod();
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const ClusterOptions& options() const { return options_; }
   const ShardRouter& router() const { return router_; }
-  TaskExecutor& executor() { return executor_; }
+  const TaskExecutor& executor() const { return executor_; }
   const cloud::DsmsCenter& shard(int s) const {
     return *shards_[static_cast<size_t>(s)].center;
   }

@@ -53,20 +53,11 @@ enum class LockRank : int {
   /// held across the FIFO grant protocol (and its condvar waits).
   kGateTicketPool = 110,
 
-  // -- Executor layer (the task runtime's internal locks) -----------
-  /// TaskExecutor::WorkerDeque::mutex — per-worker ring deques
-  /// (striped; a worker never holds two deque locks at once).
-  kExecutorDeque = 300,
-  /// TaskExecutor::grow_mutex_ — serializes ticket-table growth.
-  kExecutorGrow = 310,
-  /// TaskExecutor::wake_mutex_ — the worker-parking eventcount.
-  kExecutorWake = 320,
-  /// TaskExecutor::space_mutex_ — the queue-space waiter protocol.
-  kExecutorSpace = 330,
-  /// TaskExecutor::done_mutex_ — the ticket/batch completion condvar.
-  /// Acquired while holding a deque mutex in the destructor's
-  /// FailPendingWork sweep (deque → done ascends).
-  kExecutorDone = 340,
+  // -- Executor layer (the task runtime's one lock) ----------------
+  /// TaskExecutor::mutex_ — the work FIFO, the per-batch remaining
+  /// counts, the worker counters, and the work/done condvars. Never
+  /// held while a task runs or while telemetry records.
+  kExecutorQueue = 300,
 
   // -- Telemetry layer (sinks; callees of every layer above) --------
   /// MetricsRegistry::mutex_ — instrument registration + snapshot.
@@ -97,11 +88,7 @@ struct RankTableEntry {
 inline constexpr RankTableEntry kRankTable[] = {
     {LockRank::kGateIngress, "kGateIngress"},
     {LockRank::kGateTicketPool, "kGateTicketPool"},
-    {LockRank::kExecutorDeque, "kExecutorDeque"},
-    {LockRank::kExecutorGrow, "kExecutorGrow"},
-    {LockRank::kExecutorWake, "kExecutorWake"},
-    {LockRank::kExecutorSpace, "kExecutorSpace"},
-    {LockRank::kExecutorDone, "kExecutorDone"},
+    {LockRank::kExecutorQueue, "kExecutorQueue"},
     {LockRank::kMetricsRegistry, "kMetricsRegistry"},
     {LockRank::kPeriodTracer, "kPeriodTracer"},
     {LockRank::kHistogramSlot, "kHistogramSlot"},

@@ -3,7 +3,7 @@
 // synchronization primitives the whole tree locks with. The repo's
 // concurrency invariants — which mutex guards which member, which
 // private helpers require which lock — used to live in comments
-// ("Guarded by wake_mutex_"); with these macros they are attributes
+// ("Guarded by mutex_"); with these macros they are attributes
 // the compiler checks: build with
 //
 //   cmake -B build-ts -S . -DSTREAMBID_THREAD_SAFETY=ON

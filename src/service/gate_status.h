@@ -25,8 +25,8 @@ namespace streambid::service {
 Status ShedRejection(std::string_view pool, double retry_after_periods);
 
 /// True iff `status` is a gate shed produced by ShedRejection (as
-/// opposed to some other kResourceExhausted, e.g. executor
-/// backpressure).
+/// opposed to some other kResourceExhausted, e.g. a ticket pool's
+/// Acquire timeout).
 bool IsShed(const Status& status);
 
 /// The retry-after hint carried by a shed status; nullopt when `status`

@@ -425,33 +425,6 @@ TEST(ClusterCenterTest, FailedSubmitLeavesStatusesUntouched) {
   }
 }
 
-TEST(ClusterCenterTest, RunPeriodAfterShutdownFailsCleanly) {
-  ClusterCenter cluster(BaseOptions(2, RoutingPolicy::kHashUser),
-                        RegisterQuotes);
-  ASSERT_TRUE(cluster.Submit(MakeSubmission(1, 1, 40.0, 105.0)).ok());
-  const std::vector<ShardStatus> before = cluster.shard_statuses();
-  ASSERT_TRUE(cluster.executor().Shutdown().ok());
-
-  // The chains cannot be submitted: the error surfaces, and no period
-  // was recorded or merged into the router's view...
-  const auto report = cluster.RunPeriod();
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(cluster.history().empty());
-  const std::vector<ShardStatus>& after = cluster.shard_statuses();
-  for (size_t s = 0; s < before.size(); ++s) {
-    EXPECT_EQ(after[s].pending_count, before[s].pending_count) << s;
-    EXPECT_DOUBLE_EQ(after[s].pending_load, before[s].pending_load) << s;
-    EXPECT_EQ(after[s].has_history, before[s].has_history) << s;
-  }
-
-  // ...so the surface still accepts submissions, and a second RunPeriod
-  // reports the same executor error.
-  EXPECT_TRUE(cluster.Submit(MakeSubmission(2, 2, 30.0, 110.0)).ok());
-  EXPECT_EQ(cluster.RunPeriod().status().code(),
-            StatusCode::kFailedPrecondition);
-}
-
 TEST(ClusterCenterTest, SingleShardDegeneratesToOneCenter) {
   ClusterCenter cluster(BaseOptions(1, RoutingPolicy::kLeastLoaded),
                         RegisterQuotes);

@@ -3,20 +3,18 @@
 // into real cluster periods, ticket-starved offers shed with the typed
 // retry-after status, classes are isolated, tickets recycle across
 // periods, drain-time cluster refusals are accounted as drops, and the
-// throughput probe's decisions resize the pools and the executor bound.
-// Also the backpressure satellite: the gate's kResourceExhausted is the
-// status the caller sees, distinguishable from executor backpressure,
-// with the shedding accounted in the period report.
+// throughput probe's decisions resize the pools. Also the backpressure
+// contract: the gate's kResourceExhausted is the status the caller sees,
+// distinguishable from a ticket pool's Acquire timeout, with the
+// shedding accounted in the period report.
 
 #include "gate/stream_ingress.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <mutex>
 #include <vector>
 
-#include "cluster/task_executor.h"
 #include "service/gate_status.h"
 #include "stream/query_builder.h"
 #include "stream/stream_source.h"
@@ -142,31 +140,17 @@ TEST(StreamIngressTest, ShedsTicketStarvedOffersWithRetryAfterHint) {
   EXPECT_EQ(gate.total_shed(), 3);
 }
 
-TEST(StreamIngressTest, ShedIsDistinguishableFromExecutorBackpressure) {
-  // The satellite's end-to-end claim: both the gate and the executor
-  // speak kResourceExhausted, but only the gate's carries the shed
-  // marker — a caller can retry-later on sheds and spin on queue-full.
-  cluster::TaskExecutor executor(cluster::ExecutorOptions{1, 1});
-  // Park the worker so the queue stays full.
-  std::mutex hold;
-  hold.lock();
-  auto parked = executor.Submit<bool>([&hold](cluster::WorkerContext&) {
-    std::lock_guard<std::mutex> lock(hold);
-    return true;
-  });
-  ASSERT_TRUE(parked.ok());
-  Result<cluster::Ticket<bool>> full = executor.TrySubmit<bool>(
-      [](cluster::WorkerContext&) -> Result<bool> { return true; });
-  while (full.ok()) {
-    full = executor.TrySubmit<bool>(
-        [](cluster::WorkerContext&) -> Result<bool> { return true; });
-  }
-  EXPECT_EQ(full.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_FALSE(service::IsShed(full.status()));
-  hold.unlock();
-
+TEST(StreamIngressTest, ShedIsDistinguishableFromTicketTimeout) {
+  // Both a ticket pool's Acquire timeout and the gate's shed speak
+  // kResourceExhausted, but only the shed carries the marker — a caller
+  // can retry-later on sheds and treat any other exhaustion as its own.
   TicketHolder pool("cat/class0", 1);
   ASSERT_TRUE(pool.TryAcquire());
+  const Status timed_out = pool.Acquire(/*timeout_ms=*/1.0);
+  EXPECT_EQ(timed_out.code(), StatusCode::kResourceExhausted);
+  EXPECT_FALSE(service::IsShed(timed_out));
+  EXPECT_EQ(pool.Stats().timed_out, 1);
+
   const Status shed = service::ShedRejection(pool.name(), 1.0);
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(service::IsShed(shed));
@@ -240,9 +224,8 @@ TEST(StreamIngressTest, ClusterRefusalsAtDrainCountAsDropped) {
   EXPECT_EQ(gate.pool(0).used(), 0);  // Its ticket still recycled.
 }
 
-TEST(StreamIngressTest, ProbeResizesPoolsAndExecutorQueueDepth) {
+TEST(StreamIngressTest, ProbeResizesPools) {
   cluster::ClusterCenter center(BaseClusterOptions(), RegisterQuotes);
-  ASSERT_TRUE(center.executor().SetMaxQueueDepth(64).ok());
   IngressOptions options;
   options.tenant_classes = 2;
   options.tickets_per_class = 8;
@@ -264,12 +247,10 @@ TEST(StreamIngressTest, ProbeResizesPoolsAndExecutorQueueDepth) {
     const ProbeDecision& decision = *gated->probe;
     EXPECT_GE(decision.concurrency, options.probe.min_concurrency);
     EXPECT_LE(decision.concurrency, options.probe.max_concurrency);
-    // The decision lands on the pools and the executor bound.
+    // The decision lands on the pools.
     const int per_class = std::max(1, decision.concurrency / 2);
     EXPECT_EQ(gate.pool(0).capacity(), per_class);
     EXPECT_EQ(gate.pool(1).capacity(), per_class);
-    EXPECT_EQ(center.executor().max_queue_depth(),
-              std::max(decision.concurrency, center.num_shards()));
   }
 }
 
