@@ -2,6 +2,7 @@
 
 #include "auction/instance.h"
 
+#include <cmath>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -12,17 +13,18 @@ Result<AuctionInstance> AuctionInstance::Create(
     std::vector<OperatorSpec> operators, std::vector<QuerySpec> queries) {
   const int num_ops = static_cast<int>(operators.size());
   for (int j = 0; j < num_ops; ++j) {
-    if (!(operators[static_cast<size_t>(j)].load > 0.0)) {
+    const double load = operators[static_cast<size_t>(j)].load;
+    if (!std::isfinite(load) || !(load > 0.0)) {
       return Status::InvalidArgument("operator " + std::to_string(j) +
-                                     " has non-positive load");
+                                     " has non-positive or non-finite load");
     }
   }
   std::unordered_set<OperatorId> seen;
   for (size_t i = 0; i < queries.size(); ++i) {
     const QuerySpec& q = queries[i];
-    if (q.bid < 0.0) {
+    if (!std::isfinite(q.bid) || q.bid < 0.0) {
       return Status::InvalidArgument("query " + std::to_string(i) +
-                                     " has negative bid");
+                                     " has negative or non-finite bid");
     }
     if (q.operators.empty()) {
       return Status::InvalidArgument("query " + std::to_string(i) +

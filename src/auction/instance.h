@@ -26,8 +26,9 @@ namespace streambid::auction {
 class AuctionInstance {
  public:
   /// Builds and validates an instance. Errors:
-  /// - kInvalidArgument: bad operator reference, non-positive load,
-  ///   negative bid, duplicate operator within one query, empty query.
+  /// - kInvalidArgument: bad operator reference, non-positive or
+  ///   non-finite load, negative or non-finite bid, duplicate operator
+  ///   within one query, empty query.
   static Result<AuctionInstance> Create(std::vector<OperatorSpec> operators,
                                         std::vector<QuerySpec> queries);
 

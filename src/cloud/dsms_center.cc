@@ -3,6 +3,7 @@
 #include "cloud/dsms_center.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -42,8 +43,8 @@ DsmsCenter::DsmsCenter(const DsmsCenterOptions& options,
 
 Status DsmsCenter::ValidateSubmission(
     const stream::QuerySubmission& submission) const {
-  if (submission.bid < 0.0) {
-    return Status::InvalidArgument("negative bid");
+  if (!std::isfinite(submission.bid) || submission.bid < 0.0) {
+    return Status::InvalidArgument("negative or non-finite bid");
   }
   // Resubmitting a currently ACTIVE id is a renewal (the query is
   // uninstalled at the period boundary before winners install), but two

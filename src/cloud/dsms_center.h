@@ -173,9 +173,10 @@ class DsmsCenter {
   DsmsCenter(const DsmsCenterOptions& options, stream::Engine* engine);
 
   /// Queues a query submission (bid + plan) for the next period's
-  /// auction. Fails fast when the plan does not validate against the
-  /// engine (kInvalidArgument/kNotFound) or the id is already pending
-  /// or active (kAlreadyExists).
+  /// auction. Fails fast when the bid is negative or non-finite
+  /// (kInvalidArgument), the plan does not validate against the engine
+  /// (kInvalidArgument/kNotFound), or the id is already pending or
+  /// active (kAlreadyExists).
   Status Submit(stream::QuerySubmission submission);
 
   /// Ends the current period: runs the auction over pending
@@ -259,8 +260,9 @@ class DsmsCenter {
   }
 
  private:
-  /// The one submission gate Submit and AdoptTenant share: bid sign,
-  /// pending-id uniqueness, plan validation against the engine.
+  /// The one submission gate Submit and AdoptTenant share: a finite,
+  /// non-negative bid, pending-id uniqueness, plan validation against
+  /// the engine.
   Status ValidateSubmission(const stream::QuerySubmission& submission) const;
 
   DsmsCenterOptions options_;

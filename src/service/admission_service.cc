@@ -2,6 +2,7 @@
 
 #include "service/admission_service.h"
 
+#include <cmath>
 #include <utility>
 
 #include "auction/registry.h"
@@ -61,8 +62,8 @@ Status AdmissionService::Validate(const AdmissionRequest& request) const {
   if (request.instance == nullptr) {
     return Status::InvalidArgument("request has no instance");
   }
-  if (request.capacity < 0.0) {
-    return Status::InvalidArgument("negative capacity");
+  if (!std::isfinite(request.capacity) || request.capacity < 0.0) {
+    return Status::InvalidArgument("negative or non-finite capacity");
   }
   if (!HasMechanism(request.mechanism)) {
     return Status::NotFound("unknown mechanism: " + request.mechanism);

@@ -100,7 +100,8 @@ class AdmissionService {
   AdmissionService();
 
   /// Runs one admission auction. Errors:
-  /// - kInvalidArgument: null instance or negative capacity;
+  /// - kInvalidArgument: null instance, or negative or non-finite
+  ///   capacity;
   /// - kNotFound: unknown mechanism name;
   /// - kInternal: feasibility check requested and failed.
   Result<AdmissionResponse> Admit(const AdmissionRequest& request);
@@ -130,7 +131,8 @@ class AdmissionService {
   bool HasMechanism(std::string_view name) const;
 
   /// Checks a request without running it: kInvalidArgument for a null
-  /// instance or negative capacity, kNotFound for an unknown mechanism.
+  /// instance or a negative or non-finite capacity, kNotFound for an
+  /// unknown mechanism.
   /// Admit/AdmitBatch validate internally; this is exposed so callers
   /// that queue requests for later can fail fast at enqueue time with
   /// the same errors the serial path would produce.

@@ -24,7 +24,9 @@ struct Engine::Node {
   int source_index = -1;   // Valid for source taps.
   SchemaPtr schema;        // Output schema.
   std::vector<std::pair<Node*, int>> downstream;  // (consumer, port).
-  std::deque<std::pair<int, Tuple>> inbox;        // (port, tuple).
+  // (port, tuple). ProcessPass drains it in place and clears it with its
+  // capacity kept, so a steady-state tick does not reallocate it.
+  std::vector<std::pair<int, Tuple>> inbox;
   std::set<int> subscribers;  // Query ids whose plans include this node.
   std::set<int> sink_of;      // Query ids whose output node is this.
   double run_cost = 0.0;      // Cost consumed during the current Run().
@@ -309,12 +311,8 @@ Status Engine::CommitTransition() {
   }
   // Replay held tuples into the modified network before new arrivals.
   for (size_t s = 0; s < held_.size(); ++s) {
-    for (Node* node : topo_) {
-      if (node->source_index == static_cast<int>(s)) {
-        for (const Tuple& t : held_[s]) {
-          node->inbox.push_back({0, t});
-        }
-      }
+    if (Node* tap = TapOf(s)) {
+      for (Tuple& t : held_[s]) tap->inbox.emplace_back(0, std::move(t));
     }
     held_[s].clear();
   }
@@ -323,18 +321,32 @@ Status Engine::CommitTransition() {
   return Status::Ok();
 }
 
+Engine::Node* Engine::TapOf(size_t s) const {
+  // Source signatures are "source(<name>)", so a source has at most one
+  // tap.
+  for (Node* node : topo_) {
+    if (node->source_index == static_cast<int>(s)) return node;
+  }
+  return nullptr;
+}
+
 void Engine::Deliver(Node* node, const Tuple& tuple) {
   for (auto& [consumer, port] : node->downstream) {
-    consumer->inbox.push_back({port, tuple});
+    consumer->inbox.emplace_back(port, tuple);
   }
-  if (!node->sink_of.empty()) {
-    for (int qid : node->sink_of) {
-      SinkStats& sink = sinks_[qid];
-      ++sink.tuples;
-      sink.recent.push_back(tuple);
-      while (static_cast<int>(sink.recent.size()) > options_.sink_history) {
-        sink.recent.pop_front();
-      }
+  const size_t history =
+      static_cast<size_t>(std::max(options_.sink_history, 0));
+  for (int qid : node->sink_of) {
+    SinkStats& sink = sinks_[qid];
+    ++sink.tuples;
+    if (history == 0) continue;
+    std::vector<Tuple>& recent = sink.recent;
+    if (recent.size() < history) {
+      recent.push_back(tuple);
+    } else {
+      // Full: drop the oldest by shifting the handles down one slot.
+      std::move(recent.begin() + 1, recent.end(), recent.begin());
+      recent.back() = tuple;
     }
   }
 }
@@ -342,39 +354,39 @@ void Engine::Deliver(Node* node, const Tuple& tuple) {
 double Engine::ProcessPass(VirtualTime now) {
   // Edges always point from earlier to later topo_ entries, so one
   // ordered pass drains everything, including window emissions.
+  // A node never feeds its own inbox, so walking it in place is safe
+  // while Deliver appends to downstream inboxes.
   double pass_cost = 0.0;
-  std::vector<Tuple> outputs;
   for (Node* node : topo_) {
     if (node->op == nullptr) {
       // Source tap: forward.
-      while (!node->inbox.empty()) {
-        const Tuple tuple = std::move(node->inbox.front().second);
-        node->inbox.pop_front();
+      for (const auto& entry : node->inbox) {
         ++node->processed;
-        Deliver(node, tuple);
+        Deliver(node, entry.second);
       }
+      node->inbox.clear();
       continue;
     }
-    while (!node->inbox.empty()) {
-      auto [port, tuple] = std::move(node->inbox.front());
-      node->inbox.pop_front();
-      outputs.clear();
-      node->op->Process(port, tuple, &outputs);
+    for (const auto& [port, tuple] : node->inbox) {
+      outputs_.clear();
+      node->op->Process(port, tuple, &outputs_);
       node->op->RecordInput(1);
-      node->op->RecordOutput(static_cast<int64_t>(outputs.size()));
+      node->op->RecordOutput(static_cast<int64_t>(outputs_.size()));
       node->run_cost += node->op->cost_per_tuple();
       node->total_cost += node->op->cost_per_tuple();
       pass_cost += node->op->cost_per_tuple();
       ++node->processed;
-      for (const Tuple& out : outputs) Deliver(node, out);
+      for (const Tuple& out : outputs_) Deliver(node, out);
     }
-    outputs.clear();
-    node->op->AdvanceTime(now, &outputs);
-    if (!outputs.empty()) {
-      node->op->RecordOutput(static_cast<int64_t>(outputs.size()));
-      for (const Tuple& out : outputs) Deliver(node, out);
+    node->inbox.clear();
+    outputs_.clear();
+    node->op->AdvanceTime(now, &outputs_);
+    if (!outputs_.empty()) {
+      node->op->RecordOutput(static_cast<int64_t>(outputs_.size()));
+      for (const Tuple& out : outputs_) Deliver(node, out);
     }
   }
+  outputs_.clear();
   return pass_cost;
 }
 
@@ -393,27 +405,26 @@ void Engine::Run(VirtualTime duration) {
   while (now_ < end) {
     now_ = std::min(now_ + options_.tick, end);
     for (size_t s = 0; s < sources_.size(); ++s) {
-      std::vector<Tuple> batch = sources_[s]->EmitUntil(now_);
-      if (batch.empty()) continue;
       if (in_transition_) {
         // Connection point holds arrivals during the transition.
-        held_[s].insert(held_[s].end(), batch.begin(), batch.end());
+        sources_[s]->EmitUntil(now_, &held_[s]);
         continue;
       }
-      for (Node* node : topo_) {
-        if (node->source_index == static_cast<int>(s)) {
-          for (const Tuple& t : batch) {
-            // Closed-loop tuple shedding (Aurora-style random drops):
-            // the drop probability tracks last tick's overload ratio.
-            if (options_.shed_on_overload && shed_probability_ > 0.0 &&
-                shed_rng_.NextBool(shed_probability_)) {
-              ++last_run_shed_;
-              continue;
-            }
-            node->inbox.push_back({0, t});
-            ++last_run_ingested_;
-          }
+      arrivals_.clear();
+      sources_[s]->EmitUntil(now_, &arrivals_);
+      if (arrivals_.empty()) continue;
+      Node* tap = TapOf(s);
+      if (tap == nullptr) continue;
+      for (Tuple& t : arrivals_) {
+        // Closed-loop tuple shedding (Aurora-style random drops): the
+        // drop probability tracks last tick's overload ratio.
+        if (options_.shed_on_overload && shed_probability_ > 0.0 &&
+            shed_rng_.NextBool(shed_probability_)) {
+          ++last_run_shed_;
+          continue;
         }
+        tap->inbox.emplace_back(0, std::move(t));
+        ++last_run_ingested_;
       }
     }
     if (!in_transition_) {

@@ -13,7 +13,6 @@
 #ifndef STREAMBID_STREAM_ENGINE_H_
 #define STREAMBID_STREAM_ENGINE_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -60,10 +59,13 @@ struct OperatorLoadInfo {
   int sharing_degree = 0;
 };
 
-/// Per-query output statistics.
+/// Per-query output statistics. `recent` holds handles to the newest
+/// `sink_history` output tuples, oldest first (empty when the history is
+/// 0); it stops growing at that bound and shifts one handle per output
+/// after that, so keeping it never copies tuple values.
 struct SinkStats {
   int64_t tuples = 0;
-  std::deque<Tuple> recent;  ///< Last `sink_history` output tuples.
+  std::vector<Tuple> recent;
 };
 
 /// Virtual-time stream engine. Not thread-safe; one engine per
@@ -185,6 +187,9 @@ class Engine {
   /// advancing windows to `now`. Returns the cost consumed.
   double ProcessPass(VirtualTime now);
 
+  /// Source tap of source `s` (nullptr when no installed plan reads it).
+  Node* TapOf(size_t s) const;
+
   EngineOptions options_;
   std::vector<StreamSourcePtr> sources_;
   std::map<std::string, int> source_index_;
@@ -195,6 +200,11 @@ class Engine {
 
   bool in_transition_ = false;
   std::vector<std::vector<Tuple>> held_;  // Per source, during transition.
+
+  // Scratch buffers reused across ticks: one source's arrivals, and one
+  // operator invocation's outputs.
+  std::vector<Tuple> arrivals_;
+  std::vector<Tuple> outputs_;
 
   VirtualTime now_ = 0.0;
   double last_run_cost_ = 0.0;

@@ -74,22 +74,6 @@ AggregateOperator::AggregateOperator(const SchemaPtr& input_schema,
   output_schema_ = MakeSchema(std::move(fields));
 }
 
-std::vector<VirtualTime> AggregateOperator::WindowStartsFor(
-    VirtualTime ts) const {
-  // Windows are aligned at multiples of slide. A tuple at ts belongs to
-  // every window [s, s+size) with s <= ts < s+size and s = k*slide.
-  std::vector<VirtualTime> starts;
-  const double first_k = std::floor(ts / window_.slide);
-  for (double k = first_k;; k -= 1.0) {
-    const VirtualTime s = k * window_.slide;
-    if (s < 0.0 && k < 0.0) break;
-    if (s + window_.size <= ts) break;
-    starts.push_back(s);
-    if (k == 0.0) break;
-  }
-  return starts;
-}
-
 void AggregateOperator::Process(int port, const Tuple& tuple,
                                 std::vector<Tuple>* out) {
   STREAMBID_DCHECK(port == 0);
@@ -98,30 +82,34 @@ void AggregateOperator::Process(int port, const Tuple& tuple,
   const double x =
       agg_field_index_ >= 0 ? tuple.value(agg_field_index_).AsDouble()
                             : 1.0;
-  std::string key;
-  Value key_value;
-  if (group_field_index_ >= 0) {
-    key_value = tuple.value(group_field_index_);
-    key = key_value.ToKey();
-  }
-  for (VirtualTime s : WindowStartsFor(tuple.timestamp())) {
+  const bool grouped = group_field_index_ >= 0;
+  const std::string key =
+      grouped ? tuple.value(group_field_index_).ToKey() : std::string();
+  // Windows are aligned at multiples of slide. A tuple at ts belongs to
+  // every window [s, s+size) with s <= ts < s+size and s = k*slide.
+  const VirtualTime ts = tuple.timestamp();
+  for (double k = std::floor(ts / window_.slide);; k -= 1.0) {
+    const VirtualTime s = k * window_.slide;
+    if (s < 0.0 && k < 0.0) break;
+    if (s + window_.size <= ts) break;
     OpenWindow& w = open_[s];
     w.start = s;
-    w.groups[key].Add(x);
-    if (group_field_index_ >= 0) w.group_values[key] = key_value;
+    Group& group = w.groups[key];
+    group.acc.Add(x);
+    if (grouped) group.value = tuple.value(group_field_index_);
+    if (k == 0.0) break;
   }
 }
 
 void AggregateOperator::EmitWindow(const OpenWindow& w,
                                    std::vector<Tuple>* out) {
   const VirtualTime end = w.start + window_.size;
-  for (const auto& [key, acc] : w.groups) {
+  for (const auto& [key, group] : w.groups) {
     std::vector<Value> values;
-    if (group_field_index_ >= 0) {
-      values.push_back(w.group_values.at(key));
-    }
+    values.reserve(static_cast<size_t>(output_schema_->num_fields()));
+    if (group_field_index_ >= 0) values.push_back(group.value);
     values.emplace_back(end);
-    values.emplace_back(acc.Final(fn_));
+    values.emplace_back(group.acc.Final(fn_));
     out->emplace_back(output_schema_, std::move(values), end);
   }
 }

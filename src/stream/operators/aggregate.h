@@ -67,17 +67,22 @@ class AggregateOperator : public OperatorBase {
     double Final(AggFn fn) const;
   };
 
+  // One group of one open window: its accumulator and the group-by value
+  // last seen under its key (keys are Value::ToKey() strings, so distinct
+  // doubles can share one).
+  struct Group {
+    Accumulator acc;
+    Value value;
+  };
+
   // One open window instance.
   struct OpenWindow {
     VirtualTime start = 0.0;
-    // Group key -> accumulator ("" for ungrouped).
-    std::map<std::string, Accumulator> groups;
-    std::map<std::string, Value> group_values;
+    // Group key -> group ("" for ungrouped); emission follows key order.
+    std::map<std::string, Group> groups;
   };
 
   void EmitWindow(const OpenWindow& w, std::vector<Tuple>* out);
-  /// Window start times whose window [s, s+size) contains `ts`.
-  std::vector<VirtualTime> WindowStartsFor(VirtualTime ts) const;
 
   SchemaPtr output_schema_;
   AggFn fn_;

@@ -9,16 +9,15 @@
 
 namespace streambid::stream {
 
-std::vector<Tuple> StreamSource::EmitUntil(VirtualTime until) {
-  std::vector<Tuple> out;
-  if (rate_ <= 0.0) return out;
+void StreamSource::EmitUntil(VirtualTime until, std::vector<Tuple>* out) {
+  STREAMBID_DCHECK(out != nullptr);
+  if (rate_ <= 0.0) return;
   const VirtualTime step = 1.0 / rate_;
   while (next_ts_ <= until) {
-    out.emplace_back(schema_, Generate(next_ts_, rng_), next_ts_);
+    out->emplace_back(schema_, Generate(next_ts_, rng_), next_ts_);
     next_ts_ += step;
     ++emitted_;
   }
-  return out;
 }
 
 namespace {

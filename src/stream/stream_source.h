@@ -34,8 +34,10 @@ class StreamSource {
   const SchemaPtr& schema() const { return schema_; }
   double rate() const { return rate_; }
 
-  /// Emits all tuples with timestamps in (last emission, until].
-  std::vector<Tuple> EmitUntil(VirtualTime until);
+  /// Appends every tuple stamped in (last emission, until] to `out`,
+  /// oldest first. The caller owns `out` and may reuse it across calls;
+  /// existing contents are kept.
+  void EmitUntil(VirtualTime until, std::vector<Tuple>* out);
 
   int64_t tuples_emitted() const { return emitted_; }
 

@@ -4,6 +4,7 @@
 #ifndef STREAMBID_STREAM_TUPLE_H_
 #define STREAMBID_STREAM_TUPLE_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,51 +18,66 @@ namespace streambid::stream {
 using VirtualTime = double;
 
 /// One stream element: a schema, field values, and an event timestamp in
-/// virtual time. Tuples are value types; the schema is shared.
+/// virtual time. A Tuple is a handle to one immutable payload, so copying
+/// a tuple (fan-out to several consumers, a select or union passing it
+/// through, a window or sink keeping it) copies a pointer and bumps an
+/// atomic refcount; the values themselves are never copied. The refcount
+/// is atomic because sink histories are read from other threads once a
+/// period's tasks have joined. A default Tuple has no payload and reads
+/// as empty: null schema, no values, timestamp 0.
 class Tuple {
  public:
   Tuple() = default;
   Tuple(SchemaPtr schema, std::vector<Value> values, VirtualTime timestamp)
-      : schema_(std::move(schema)),
-        values_(std::move(values)),
-        timestamp_(timestamp) {
-    STREAMBID_DCHECK(schema_ != nullptr);
-    STREAMBID_DCHECK(static_cast<int>(values_.size()) ==
-                     schema_->num_fields());
+      : payload_(std::make_shared<const Payload>(
+            Payload{std::move(schema), std::move(values), timestamp})) {
+    STREAMBID_DCHECK(payload_->schema != nullptr);
+    STREAMBID_DCHECK(static_cast<int>(payload_->values.size()) ==
+                     payload_->schema->num_fields());
   }
 
-  const SchemaPtr& schema() const { return schema_; }
-  VirtualTime timestamp() const { return timestamp_; }
+  const SchemaPtr& schema() const { return payload().schema; }
+  VirtualTime timestamp() const { return payload().timestamp; }
 
   const Value& value(int i) const {
-    STREAMBID_DCHECK(i >= 0 &&
-                     i < static_cast<int>(values_.size()));
-    return values_[static_cast<size_t>(i)];
+    const std::vector<Value>& values = payload().values;
+    STREAMBID_DCHECK(i >= 0 && i < static_cast<int>(values.size()));
+    return values[static_cast<size_t>(i)];
   }
 
   /// Value of the field named `name` (CHECK-fails when absent).
   const Value& field(const std::string& name) const {
-    const int idx = schema_->FieldIndex(name);
+    const int idx = schema()->FieldIndex(name);
     STREAMBID_CHECK_GE(idx, 0);
     return value(idx);
   }
 
-  const std::vector<Value>& values() const { return values_; }
+  const std::vector<Value>& values() const { return payload().values; }
 
   /// "(ts=1.5 sym=IBM price=42)" — debugging and sinks.
   std::string ToString() const {
-    std::string out = "(ts=" + std::to_string(timestamp_);
-    for (int i = 0; i < schema_->num_fields(); ++i) {
-      out += " " + schema_->field(i).name + "=" + value(i).ToString();
+    std::string out = "(ts=" + std::to_string(timestamp());
+    const SchemaPtr& s = schema();
+    for (int i = 0; i < s->num_fields(); ++i) {
+      out += " " + s->field(i).name + "=" + value(i).ToString();
     }
     out += ")";
     return out;
   }
 
  private:
-  SchemaPtr schema_;
-  std::vector<Value> values_;
-  VirtualTime timestamp_ = 0.0;
+  struct Payload {
+    SchemaPtr schema;
+    std::vector<Value> values;
+    VirtualTime timestamp = 0.0;
+  };
+
+  const Payload& payload() const {
+    static const Payload kEmpty;
+    return payload_ != nullptr ? *payload_ : kEmpty;
+  }
+
+  std::shared_ptr<const Payload> payload_;
 };
 
 }  // namespace streambid::stream

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace streambid::auction {
 namespace {
 
@@ -29,6 +31,17 @@ TEST(AuctionInstanceTest, CreateRejectsNonPositiveLoad) {
 TEST(AuctionInstanceTest, CreateRejectsNegativeBid) {
   auto r = AuctionInstance::Create(Ops({1.0}), {{0, -5.0, {0}}});
   EXPECT_FALSE(r.ok());
+}
+
+TEST(AuctionInstanceTest, CreateRejectsNonFiniteBidAndLoad) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    auto bid = AuctionInstance::Create(Ops({1.0}), {{0, bad, {0}}});
+    EXPECT_EQ(bid.status().code(), StatusCode::kInvalidArgument) << bad;
+    auto load = AuctionInstance::Create(Ops({bad}), {{0, 5.0, {0}}});
+    EXPECT_EQ(load.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(AuctionInstanceTest, CreateRejectsEmptyQuery) {

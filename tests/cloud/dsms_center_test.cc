@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "stream/query_builder.h"
 
 namespace streambid::cloud {
@@ -126,6 +128,24 @@ TEST_F(DsmsCenterTest, SubmitValidation) {
   ASSERT_TRUE(center.Submit(MakeSubmission(3, 1, 5.0, 1.0)).ok());
   EXPECT_EQ(center.Submit(MakeSubmission(3, 1, 5.0, 1.0)).code(),
             StatusCode::kAlreadyExists);
+}
+
+TEST_F(DsmsCenterTest, SubmitRejectsNonFiniteBid) {
+  DsmsCenterOptions options;
+  DsmsCenter center(options, &engine_);
+  const double inf = std::numeric_limits<double>::infinity();
+  int id = 1;
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    EXPECT_EQ(center.Submit(MakeSubmission(id++, 1, bad, 110.0)).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  // Nothing was queued: the period auctions no one.
+  auto report = center.RunPeriod();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->submissions, 0);
+  EXPECT_DOUBLE_EQ(report->revenue, 0.0);
 }
 
 TEST_F(DsmsCenterTest, EmptyPeriodRunsCleanly) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "auction/registry.h"
 
 namespace streambid::service {
@@ -50,6 +52,22 @@ TEST(AdmissionServiceTest, NullInstanceAndNegativeCapacityRejected) {
   AdmissionRequest negative = MakeRequest(instance, "cat", -1.0);
   EXPECT_EQ(service.Admit(negative).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(AdmissionServiceTest, NonFiniteCapacityRejected) {
+  AdmissionService service;
+  const auction::AuctionInstance instance = Example1();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    const AdmissionRequest request = MakeRequest(instance, "cat", bad);
+    EXPECT_EQ(service.Validate(request).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(service.Admit(request).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 TEST(AdmissionServiceTest, RegistryErrorPath) {

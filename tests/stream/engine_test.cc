@@ -73,6 +73,40 @@ TEST_F(EngineTest, InstallAndRunDeliversToSink) {
   EXPECT_FALSE(sink->recent.empty());
 }
 
+TEST_F(EngineTest, SinkHistoryKeepsNewestOldestFirst) {
+  // Three engines over the same source and plan differ only in how much
+  // sink history they keep; the full history is the reference.
+  auto run = [this](int history) {
+    auto engine = std::make_unique<Engine>(EngineOptions{100.0, 1.0, history});
+    EXPECT_TRUE(engine
+                    ->RegisterSource(std::make_unique<CounterSource>(
+                        "quotes", /*rate=*/10.0))
+                    .ok());
+    EXPECT_TRUE(engine->InstallQuery(1, SelectPlan(5.0)).ok());
+    engine->Run(5.0);
+    return engine;
+  };
+  const auto full = run(1000);
+  const auto three = run(3);
+  const auto none = run(0);
+  const SinkStats& all = *full->sink(1);
+  ASSERT_GT(all.tuples, 3);
+  ASSERT_EQ(static_cast<int64_t>(all.recent.size()), all.tuples);
+
+  const SinkStats& last3 = *three->sink(1);
+  EXPECT_EQ(last3.tuples, all.tuples);
+  ASSERT_EQ(last3.recent.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(last3.recent[i].ToString(),
+              all.recent[all.recent.size() - 3 + i].ToString());
+  }
+  EXPECT_LT(last3.recent[0].timestamp(), last3.recent[1].timestamp());
+  EXPECT_LT(last3.recent[1].timestamp(), last3.recent[2].timestamp());
+
+  EXPECT_EQ(none->sink(1)->tuples, all.tuples);
+  EXPECT_TRUE(none->sink(1)->recent.empty());
+}
+
 TEST_F(EngineTest, InstallValidatesPlan) {
   QueryBuilder b;
   const int src = b.Source("unknown_stream");

@@ -165,6 +165,24 @@ TEST(AggregateOperatorTest, MinMax) {
   EXPECT_DOUBLE_EQ(out[0].field("value").AsDouble(), 9.0);
 }
 
+TEST(AggregateOperatorTest, DoubleGroupKeysKeepLastValue) {
+  // Group keys are Value::ToKey() strings, which print doubles at six
+  // significant digits: 1.0000001 and 1.0000002 both key as "d:1", so
+  // they fold into one group that carries the last value seen.
+  SchemaPtr s = MakeSchema({{"level", ValueType::kDouble},
+                            {"x", ValueType::kDouble}});
+  ASSERT_EQ(Value(1.0000001).ToKey(), "d:1");
+  ASSERT_EQ(Value(1.0000002).ToKey(), "d:1");
+  AggregateOperator agg(s, AggFn::kSum, "x", "level", {10.0, 10.0});
+  std::vector<Tuple> out;
+  agg.Process(0, Tuple(s, {Value(1.0000001), Value(2.0)}, 1.0), &out);
+  agg.Process(0, Tuple(s, {Value(1.0000002), Value(3.0)}, 2.0), &out);
+  agg.AdvanceTime(10.0, &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].field("level").AsDouble(), 1.0000002);
+  EXPECT_DOUBLE_EQ(out[0].field("value").AsDouble(), 5.0);
+}
+
 TEST(AggregateOperatorTest, ResetDropsOpenWindows) {
   SchemaPtr s = QuoteSchema();
   AggregateOperator agg(s, AggFn::kCount, "price", "", {10.0, 10.0});

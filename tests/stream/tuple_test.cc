@@ -39,6 +39,22 @@ TEST(TupleTest, FieldAccess) {
   EXPECT_EQ(t.value(0).AsString(), "IBM");
 }
 
+TEST(TupleTest, CopiesShareOnePayload) {
+  const Tuple t(QuoteSchema(), {Value("IBM"), Value(101.5)}, 2.5);
+  const Tuple copy = t;
+  EXPECT_EQ(&copy.values(), &t.values());
+  EXPECT_EQ(copy.schema(), t.schema());
+  EXPECT_DOUBLE_EQ(copy.timestamp(), 2.5);
+  EXPECT_EQ(copy.ToString(), t.ToString());
+}
+
+TEST(TupleTest, DefaultTupleIsEmpty) {
+  const Tuple t;
+  EXPECT_EQ(t.schema(), nullptr);
+  EXPECT_TRUE(t.values().empty());
+  EXPECT_DOUBLE_EQ(t.timestamp(), 0.0);
+}
+
 TEST(TupleTest, ToStringMentionsFields) {
   Tuple t(QuoteSchema(), {Value("A"), Value(1.0)}, 0.0);
   const std::string s = t.ToString();
