@@ -340,14 +340,10 @@ void Engine::Deliver(Node* node, const Tuple& tuple) {
     SinkStats& sink = sinks_[qid];
     ++sink.tuples;
     if (history == 0) continue;
-    std::vector<Tuple>& recent = sink.recent;
-    if (recent.size() < history) {
-      recent.push_back(tuple);
-    } else {
-      // Full: drop the oldest by shifting the handles down one slot.
-      std::move(recent.begin() + 1, recent.end(), recent.begin());
-      recent.back() = tuple;
-    }
+    // Full: drop the oldest by shifting the handles down one slot; the
+    // vector keeps its capacity, so this never reallocates.
+    if (sink.recent.size() == history) sink.recent.erase(sink.recent.begin());
+    sink.recent.push_back(tuple);
   }
 }
 
