@@ -6,7 +6,10 @@
 // The digest is pinned: a data-plane change that keeps behaviour must
 // reproduce it exactly, and any change to what the engine emits, in what
 // order, or what it measures shows up here. Re-pin only for an intended
-// behaviour change.
+// behaviour change. The quote feed's random walk calls std::exp, so a
+// libm that rounds differently could move the digest with no engine
+// change; check against a build of the previous commit on the same
+// machine before re-pinning.
 
 #include <gtest/gtest.h>
 
