@@ -3,6 +3,7 @@
 #include "cloud/subscription.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 
@@ -18,7 +19,14 @@ SubscriptionManager::SubscriptionManager(
       mechanism_(mechanism),
       seed_(seed) {
   STREAMBID_CHECK(!categories_.empty());
+  STREAMBID_CHECK(std::isfinite(total_capacity_));
   STREAMBID_CHECK_GT(total_capacity_, 0.0);
+  // AdvanceDay CHECKs that every day's instance builds, so the pool
+  // must already pass AuctionInstance::Create's load checks here.
+  for (const auction::OperatorSpec& op : pool_) {
+    STREAMBID_CHECK(std::isfinite(op.load));
+    STREAMBID_CHECK_GT(op.load, 0.0);
+  }
   double fractions = 0.0;
   for (const auto& c : categories_) {
     STREAMBID_CHECK_GT(c.length_days, 0);
@@ -37,14 +45,22 @@ Status SubscriptionManager::Submit(const SubscriptionRequest& request) {
   if (request.operators.empty()) {
     return Status::InvalidArgument("request has no operators");
   }
+  // AdvanceDay CHECKs that the day's instance builds, so accept only
+  // what AuctionInstance::Create accepts.
+  std::vector<bool> listed(pool_.size(), false);
   for (auction::OperatorId j : request.operators) {
     if (j < 0 || j >= static_cast<auction::OperatorId>(pool_.size())) {
       return Status::InvalidArgument("unknown operator " +
                                      std::to_string(j));
     }
+    if (listed[static_cast<size_t>(j)]) {
+      return Status::InvalidArgument("operator " + std::to_string(j) +
+                                     " listed twice");
+    }
+    listed[static_cast<size_t>(j)] = true;
   }
-  if (request.bid < 0.0) {
-    return Status::InvalidArgument("negative bid");
+  if (!std::isfinite(request.bid) || request.bid < 0.0) {
+    return Status::InvalidArgument("negative or non-finite bid");
   }
   pending_.push_back(request);
   return Status::Ok();

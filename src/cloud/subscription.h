@@ -64,14 +64,16 @@ struct SubscriptionDayReport {
 class SubscriptionManager {
  public:
   /// `operator_pool` defines the loads of every operator requests may
-  /// reference; `mechanism` names the per-category auction.
+  /// reference (each finite and positive); `mechanism` names the
+  /// per-category auction. `total_capacity` must be finite and positive.
   SubscriptionManager(std::vector<SubscriptionCategory> categories,
                       std::vector<auction::OperatorSpec> operator_pool,
                       double total_capacity, const std::string& mechanism,
                       uint64_t seed);
 
   /// Queues a request for the next day's auction. kInvalidArgument on
-  /// unknown category/operator.
+  /// an unknown category or operator, an empty or repeated operator
+  /// list, or a negative or non-finite bid.
   Status Submit(const SubscriptionRequest& request);
 
   /// Advances one day: expires finished subscriptions, partitions the

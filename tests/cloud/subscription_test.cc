@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 namespace streambid::cloud {
 namespace {
 
@@ -34,6 +37,20 @@ TEST(SubscriptionTest, SubmitValidation) {
   EXPECT_FALSE(mgr.Submit(Req(3, 1, 5.0, {0}, 7)).ok());   // Bad cat.
   EXPECT_FALSE(mgr.Submit(Req(4, 1, -1.0, {0}, 0)).ok());  // Bad bid.
   EXPECT_FALSE(mgr.Submit(Req(5, 1, 5.0, {}, 0)).ok());    // No ops.
+  EXPECT_EQ(mgr.Submit(Req(6, 1, 5.0, {0, 0}, 0)).code(),
+            StatusCode::kInvalidArgument);  // Repeated op.
+  for (double bid : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(mgr.Submit(Req(7, 1, bid, {0}, 0)).code(),
+              StatusCode::kInvalidArgument);
+  }
+  // The rejected requests never reach the day's auction, which still
+  // runs over the one valid request.
+  const SubscriptionDayReport day = mgr.AdvanceDay();
+  EXPECT_EQ(day.admitted + day.rejected, 1);
+  EXPECT_EQ(day.admitted, 1);
+  EXPECT_TRUE(std::isfinite(day.revenue));
 }
 
 TEST(SubscriptionTest, WinnersRunForTheirCategoryLength) {
