@@ -143,9 +143,6 @@ Result<OperatorPtr> Engine::MakeOperator(
         return Status::InvalidArgument("topk: unknown rank field " +
                                        spec.field);
       }
-      if (spec.top_k <= 0) {
-        return Status::InvalidArgument("topk: k must be positive");
-      }
       return OperatorPtr(new TopKOperator(inputs[0], spec.top_k,
                                           spec.field, spec.window.size,
                                           cost(DefaultCosts::kTopK)));

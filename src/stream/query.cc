@@ -2,9 +2,65 @@
 
 #include "stream/query.h"
 
+#include <cmath>
+
 #include "common/string_util.h"
 
 namespace streambid::stream {
+namespace {
+
+bool PositiveFinite(double x) { return std::isfinite(x) && x > 0.0; }
+
+// The numeric parameters the operator constructors CHECK, plus finite
+// costs and windows, so a hostile plan gets a typed error instead of
+// aborting the process or pricing an infinite load.
+Status ValidateParams(const OpSpec& spec) {
+  if (!std::isfinite(spec.cost_override) || spec.cost_override < 0.0) {
+    return Status::InvalidArgument("negative or non-finite cost override");
+  }
+  switch (spec.kind) {
+    case OpKind::kMap:
+      if (spec.map_fn == MapFn::kDiv && spec.map_operand == 0.0) {
+        return Status::InvalidArgument("map: division by zero");
+      }
+      break;
+    case OpKind::kAggregate:
+      if (!PositiveFinite(spec.window.size) ||
+          !PositiveFinite(spec.window.slide) ||
+          spec.window.slide > spec.window.size) {
+        return Status::InvalidArgument(
+            "aggregate: window size and slide must be positive and "
+            "finite, slide at most size");
+      }
+      break;
+    case OpKind::kJoin:
+      if (!PositiveFinite(spec.join_window)) {
+        return Status::InvalidArgument(
+            "join: window must be positive and finite");
+      }
+      break;
+    case OpKind::kTopK:
+      if (spec.top_k <= 0) {
+        return Status::InvalidArgument("topk: k must be positive");
+      }
+      if (!PositiveFinite(spec.window.size)) {
+        return Status::InvalidArgument(
+            "topk: window must be positive and finite");
+      }
+      break;
+    case OpKind::kDistinct:
+      if (!PositiveFinite(spec.window.size)) {
+        return Status::InvalidArgument(
+            "distinct: window must be positive and finite");
+      }
+      break;
+    default:
+      break;
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 const char* OpKindName(OpKind kind) {
   switch (kind) {
@@ -86,6 +142,11 @@ Status QueryPlan::Validate() const {
             " input must reference an earlier node, got " +
             std::to_string(in));
       }
+    }
+    const Status params = ValidateParams(n.spec);
+    if (!params.ok()) {
+      return Status::InvalidArgument("node " + std::to_string(i) + ": " +
+                                     params.message());
     }
   }
   if (!has_source) {

@@ -108,7 +108,10 @@ struct QueryPlan {
   int output_node = -1;
 
   /// Structural validation: input arity and ordering, output in range,
-  /// at least one source.
+  /// at least one source. Also rejects the numeric parameters the
+  /// engine cannot run or price: a negative or non-finite cost override,
+  /// a window that is not positive and finite (or an aggregate slide
+  /// longer than its window), topk k <= 0, and map division by zero.
   Status Validate() const;
 
   /// Recursive subtree signature of `node` (the engine's sharing key).

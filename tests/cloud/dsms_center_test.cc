@@ -148,6 +148,35 @@ TEST_F(DsmsCenterTest, SubmitRejectsNonFiniteBid) {
   EXPECT_DOUBLE_EQ(report->revenue, 0.0);
 }
 
+TEST_F(DsmsCenterTest, SubmitRejectsNonFiniteCostOverride) {
+  DsmsCenterOptions options;
+  DsmsCenter center(options, &engine_);
+  const double inf = std::numeric_limits<double>::infinity();
+  int id = 1;
+  for (const double bad :
+       {inf, -inf, std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    QueryBuilder b;
+    const int src = b.Source("quotes");
+    b.Select(src, "price", CompareOp::kGt, Value(110.0));
+    b.SetCostOverride(bad);
+    QuerySubmission sub;
+    sub.query_id = id++;
+    sub.user = 1;
+    sub.bid = 10.0;
+    sub.plan = b.Build(1);
+    EXPECT_EQ(center.Submit(std::move(sub)).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  // A rejected plan never reaches the auction, so the next period
+  // prices the valid submission instead of failing on the bad one.
+  ASSERT_TRUE(center.Submit(MakeSubmission(id, 2, 10.0, 110.0)).ok());
+  auto report = center.RunPeriod();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->submissions, 1);
+  EXPECT_EQ(report->admitted, 1);
+}
+
 TEST_F(DsmsCenterTest, EmptyPeriodRunsCleanly) {
   DsmsCenterOptions options;
   options.period_length = 3.0;

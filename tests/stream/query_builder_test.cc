@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace streambid::stream {
 namespace {
 
@@ -100,6 +102,52 @@ TEST(QueryPlanTest, ValidateRequiresSource) {
   QueryPlan plan;
   plan.output_node = 0;
   EXPECT_FALSE(plan.Validate().ok());  // Empty.
+}
+
+TEST(QueryPlanTest, ValidateRejectsBadNumericParams) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto aggregate_plan = [] {
+    QueryBuilder b;
+    const int src = b.Source("quotes");
+    return b.Build(
+        b.Aggregate(src, AggFn::kAvg, "price", "symbol", {60.0, 30.0}));
+  };
+  EXPECT_TRUE(aggregate_plan().Validate().ok());
+  for (const double bad : {inf, -inf, nan, -1.0}) {
+    QueryPlan plan = aggregate_plan();
+    plan.nodes.back().spec.cost_override = bad;
+    EXPECT_EQ(plan.Validate().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  for (const double bad : {inf, nan, 0.0, -5.0}) {
+    QueryPlan plan = aggregate_plan();
+    plan.nodes.back().spec.window.size = bad;
+    EXPECT_EQ(plan.Validate().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  QueryPlan long_slide = aggregate_plan();
+  long_slide.nodes.back().spec.window.slide = 90.0;
+  EXPECT_EQ(long_slide.Validate().code(), StatusCode::kInvalidArgument);
+
+  QueryBuilder b;
+  const int quotes = b.Source("quotes");
+  const int news = b.Source("news");
+  EXPECT_EQ(b.Build(b.Join(quotes, news, "symbol", "company", inf))
+                .Validate()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(b.Build(b.TopK(b.Source("quotes"), 3, "price", 0.0))
+                .Validate()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(b.Build(b.Distinct(b.Source("quotes"), "symbol", nan))
+                .Validate()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(b.Build(b.Map(b.Source("quotes"), "price", MapFn::kDiv, 0.0,
+                          "p"))
+                .Validate()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(OpSpecTest, SignaturesDistinguishKinds) {
