@@ -61,8 +61,9 @@ struct OperatorLoadInfo {
 
 /// Per-query output statistics. `recent` holds handles to the newest
 /// `sink_history` output tuples, oldest first (empty when the history is
-/// 0); it stops growing at that bound and shifts one handle per output
-/// after that, so keeping it never copies tuple values.
+/// 0). Once full, each output shifts every handle down one slot, which
+/// costs O(sink_history) handle moves (the default history is 32) but
+/// never copies tuple values or reallocates.
 struct SinkStats {
   int64_t tuples = 0;
   std::vector<Tuple> recent;
