@@ -7,6 +7,8 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/check.h"
+
 namespace streambid::auction {
 
 Result<AuctionInstance> AuctionInstance::Create(
@@ -98,6 +100,8 @@ Result<AuctionInstance> AuctionInstance::WithExtraQueries(
 }
 
 AuctionInstance AuctionInstance::WithBid(QueryId i, double new_bid) const {
+  STREAMBID_CHECK(i >= 0 && i < num_queries());
+  STREAMBID_CHECK(std::isfinite(new_bid) && new_bid >= 0.0);
   AuctionInstance copy = *this;
   copy.queries_[static_cast<size_t>(i)].bid = new_bid;
   if (new_bid > copy.max_bid_) {

@@ -88,6 +88,8 @@ class AuctionInstance {
       std::vector<QuerySpec> extra) const;
 
   /// Returns a copy with query i's bid replaced (deviation testing).
+  /// Preconditions (checked): 0 <= i < num_queries(), and `new_bid` is
+  /// finite and non-negative, as Create requires of every bid.
   AuctionInstance WithBid(QueryId i, double new_bid) const;
 
   /// Returns a copy with operators appended (attackers may introduce new

@@ -2,8 +2,6 @@
 
 #include "auction/movement_window.h"
 
-#include <algorithm>
-
 #include "auction/admitted_set.h"
 #include "auction/greedy_common.h"
 #include "common/check.h"

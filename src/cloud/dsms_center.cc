@@ -41,8 +41,7 @@ DsmsCenter::DsmsCenter(const DsmsCenterOptions& options,
   }
 }
 
-Status DsmsCenter::ValidateSubmission(
-    const stream::QuerySubmission& submission) const {
+Result<double> DsmsCenter::Submit(stream::QuerySubmission submission) {
   if (!std::isfinite(submission.bid) || submission.bid < 0.0) {
     return Status::InvalidArgument("negative or non-finite bid");
   }
@@ -55,57 +54,34 @@ Status DsmsCenter::ValidateSubmission(
                                    std::to_string(submission.query_id));
     }
   }
-  // Validate the plan eagerly so users learn about malformed queries at
-  // submission time, not at the auction boundary.
-  return engine_->DeriveOutputSchema(submission.plan).status();
-}
-
-Status DsmsCenter::Submit(stream::QuerySubmission submission) {
-  STREAMBID_RETURN_IF_ERROR(ValidateSubmission(submission));
+  // Validate and price the plan now, so a plan the auction cannot
+  // price is refused here instead of failing every later period (the
+  // queue is only cleared by a completed period).
+  STREAMBID_ASSIGN_OR_RETURN(
+      const stream::PlanLoadEstimate estimate,
+      stream::EstimatePlanLoad(*engine_, submission.plan,
+                               options_.load_options));
+  if (std::all_of(estimate.nodes.begin(), estimate.nodes.end(),
+                  [](const stream::NodeLoadEstimate& node) {
+                    return node.is_source;
+                  })) {
+    return Status::InvalidArgument(
+        "plan has no billable operators (it is only a source tap)");
+  }
+  if (!std::isfinite(estimate.total_load)) {
+    return Status::InvalidArgument("plan load estimate is not finite");
+  }
   pending_.push_back(std::move(submission));
-  return Status::Ok();
+  return estimate.total_load;
 }
 
-TenantState DsmsCenter::ExtractTenant(auction::UserId user) {
-  TenantState state;
-  state.user = user;
-  auto keep = pending_.begin();
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->user == user) {
-      state.pending.push_back(std::move(*it));
-    } else {
-      if (keep != it) *keep = std::move(*it);
-      ++keep;
-    }
-  }
-  pending_.erase(keep, pending_.end());
-  state.charged = ledger_.Extract(user);
-  return state;
+double DsmsCenter::ExtractTenant(auction::UserId user) {
+  STREAMBID_CHECK(pending_.empty());
+  return ledger_.Extract(user);
 }
 
-Status DsmsCenter::AdoptTenant(TenantState& state) {
-  // Validate everything before mutating anything (all-or-nothing):
-  // each submission passes the same checks Submit applies, plus a
-  // duplicate scan within the adopted batch itself.
-  for (size_t i = 0; i < state.pending.size(); ++i) {
-    const stream::QuerySubmission& sub = state.pending[i];
-    STREAMBID_RETURN_IF_ERROR(ValidateSubmission(sub));
-    for (size_t j = 0; j < i; ++j) {
-      if (state.pending[j].query_id == sub.query_id) {
-        return Status::AlreadyExists("query id already pending: " +
-                                     std::to_string(sub.query_id));
-      }
-    }
-  }
-  for (stream::QuerySubmission& sub : state.pending) {
-    pending_.push_back(std::move(sub));
-  }
-  state.pending.clear();
-  if (state.charged != 0.0) ledger_.Charge(state.user, state.charged);
-  // Fully consumed: a (buggy) second adoption of the same state must
-  // not double-credit the ledger.
-  state.charged = 0.0;
-  return Status::Ok();
+void DsmsCenter::AdoptTenant(auction::UserId user, double charged) {
+  if (charged != 0.0) ledger_.Charge(user, charged);
 }
 
 Result<PreparedAuction> DsmsCenter::PrepareAuction() {

@@ -149,20 +149,6 @@ struct PreparedAuction {
   service::AdmissionRequest request;
 };
 
-/// One tenant's center-resident state, as moved between centers by the
-/// cluster layer's inter-period rebalancer: the submissions still
-/// waiting for an auction plus the cumulative ledger charges. Active
-/// (installed) queries are never part of it — they expire at the next
-/// period boundary of the center that admitted them, so migration
-/// between periods never touches engine state.
-struct TenantState {
-  auction::UserId user = 0;
-  /// Pending (not yet auctioned) submissions, in submission order.
-  std::vector<stream::QuerySubmission> pending;
-  /// Cumulative charges carried to the adopting center's ledger.
-  double charged = 0.0;
-};
-
 /// The admission-controlled streaming service. Borrows an engine whose
 /// capacity defines the auction capacity.
 class DsmsCenter {
@@ -172,12 +158,16 @@ class DsmsCenter {
   /// The mechanism name must be registered (checked).
   DsmsCenter(const DsmsCenterOptions& options, stream::Engine* engine);
 
-  /// Queues a query submission (bid + plan) for the next period's
-  /// auction. Fails fast when the bid is negative or non-finite
-  /// (kInvalidArgument), the plan does not validate against the engine
-  /// (kInvalidArgument/kNotFound), or the id is already pending or
-  /// active (kAlreadyExists).
-  Status Submit(stream::QuerySubmission submission);
+  /// The one gate a plan passes: validates the submission, estimates
+  /// its load once, queues it for the next period's auction, and
+  /// returns the estimated total load. Fails fast, changing nothing,
+  /// when the bid is negative or non-finite (kInvalidArgument), the id
+  /// is already pending (kAlreadyExists; resubmitting an active id is a
+  /// renewal), the plan does not validate against the engine
+  /// (kInvalidArgument/kNotFound), or the auction could not price it:
+  /// every node is a source tap, or the load estimate is not finite
+  /// (kInvalidArgument).
+  Result<double> Submit(stream::QuerySubmission submission);
 
   /// Ends the current period: runs the auction over pending
   /// submissions, transitions the engine (expired queries out, winners
@@ -220,23 +210,18 @@ class DsmsCenter {
   Result<PeriodReport> CompletePeriod(
       const service::AdmissionResponse* response);
 
-  /// Removes `user`'s center-resident state (see TenantState): the
-  /// user's pending submissions leave the next auction and the
-  /// cumulative ledger charges move out with them. Always succeeds; a
-  /// tenant this center never saw yields an empty state. Call between
-  /// periods (never while a prepared auction is outstanding — the
-  /// prepared instance indexes the pending vector positionally).
-  TenantState ExtractTenant(auction::UserId user);
+  /// Removes `user`'s cumulative ledger charges and returns them, so
+  /// the cluster rebalancer can carry a migrating tenant's balance to
+  /// another center (0 for a tenant this center never billed). Call
+  /// only between periods, after CompletePeriod emptied the queue
+  /// (checked): queued submissions do not migrate, and installed
+  /// queries expire at this center's next period boundary.
+  double ExtractTenant(auction::UserId user);
 
-  /// Installs a tenant extracted from another center: validates every
-  /// pending submission exactly as Submit would, re-queues them for
-  /// the next auction, and credits the carried charges to this ledger.
-  /// All-or-nothing: any validation failure (kAlreadyExists on a
-  /// pending-id collision, kInvalidArgument/kNotFound on a plan this
-  /// engine rejects) leaves the center untouched — the caller still
-  /// owns the state. On success the state is fully consumed (pending
-  /// emptied, charged zeroed).
-  Status AdoptTenant(TenantState& state);
+  /// Credits `charged` (a balance ExtractTenant returned elsewhere) to
+  /// `user` in this center's ledger, so the cluster-wide total is
+  /// conserved.
+  void AdoptTenant(auction::UserId user, double charged);
 
   /// Total revenue across periods.
   double total_revenue() const { return ledger_.total(); }
@@ -260,11 +245,6 @@ class DsmsCenter {
   }
 
  private:
-  /// The one submission gate Submit and AdoptTenant share: a finite,
-  /// non-negative bid, pending-id uniqueness, plan validation against
-  /// the engine.
-  Status ValidateSubmission(const stream::QuerySubmission& submission) const;
-
   DsmsCenterOptions options_;
   stream::Engine* engine_;
   service::AdmissionService service_;

@@ -2,32 +2,15 @@
 
 #include "cluster/cluster_center.h"
 
-#include <algorithm>
 #include <limits>
-#include <map>
 #include <memory>
 #include <utility>
 
 #include "common/check.h"
-#include "stream/load_estimator.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace streambid::cluster {
-
-namespace {
-
-/// The first failing result of a fan-out, in task order; OK when every
-/// task succeeded.
-template <typename T>
-Status FirstError(const std::vector<Result<T>>& results) {
-  for (const Result<T>& result : results) {
-    if (!result.ok()) return result.status();
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 ClusterCenter::ClusterCenter(const ClusterOptions& options,
                              const EngineConfigurator& configure_engine)
@@ -81,24 +64,20 @@ ClusterCenter::ClusterCenter(const ClusterOptions& options,
 Result<int> ClusterCenter::Submit(stream::QuerySubmission submission) {
   const auction::UserId user = submission.user;
   const int s = router_.Route(submission, statuses_, &overrides_);
-  Shard& shard = shards_[static_cast<size_t>(s)];
-  // Estimate before the submission is moved into the shard: the router's
-  // least-loaded policy runs on these pending-load accumulations. Both
-  // steps happen before any state change, so a rejected submission
-  // leaves the router's view (and the tenant signals) untouched.
+  // The shard's Submit is the one gate: it validates and prices the
+  // plan, and a rejected submission changes no state — not the shard's
+  // queue, the router's view, nor the tenant signals below.
   STREAMBID_ASSIGN_OR_RETURN(
-      const stream::PlanLoadEstimate estimate,
-      stream::EstimatePlanLoad(*shard.engine, submission.plan,
-                               options_.load_options));
-  STREAMBID_RETURN_IF_ERROR(shard.center->Submit(std::move(submission)));
+      const double load,
+      shards_[static_cast<size_t>(s)].center->Submit(std::move(submission)));
   ShardStatus& status = statuses_[static_cast<size_t>(s)];
-  status.pending_load += estimate.total_load;
+  status.pending_load += load;
   ++status.pending_count;
   // The rebalancer's signal source: where this tenant lives and how
   // much demand it generated this period.
   TenantRecord& record = tenants_[user];
   record.home = s;
-  record.period_load += estimate.total_load;
+  record.period_load += load;
   return s;
 }
 
@@ -261,15 +240,13 @@ Result<ClusterPeriodReport> ClusterCenter::MergeCompleted(
     telemetry::ScopedSpan span(options_.tracer,
                                telemetry::Phase::kRebalance, report.period,
                                /*shard=*/-1, period_epoch_);
-    STREAMBID_RETURN_IF_ERROR(RebalanceAfterPeriod());
+    RebalanceAfterPeriod();
   }
   return report;
 }
 
-Status ClusterCenter::RebalanceAfterPeriod() {
-  if (!options_.rebalance.enabled || num_shards() < 2) {
-    return Status::Ok();
-  }
+void ClusterCenter::RebalanceAfterPeriod() {
+  if (!options_.rebalance.enabled || num_shards() < 2) return;
   std::vector<TenantSignal> signals;
   signals.reserve(tenants_.size());
   for (const auto& [user, record] : tenants_) {  // NOLINT(determinism): collection order is irrelevant -- ShardRebalancer::Plan sorts the signals by user id before any decision
@@ -284,117 +261,23 @@ Status ClusterCenter::RebalanceAfterPeriod() {
   MigrationPlan plan = rebalancer_.Plan(
       static_cast<int>(history_.size()), statuses_,
       history_.back().shard_reports, std::move(signals));
-  if (plan.moves.empty()) return Status::Ok();
+  if (plan.moves.empty()) return;
 
-  // Group the moves by shard so each phase touches a shard from at
-  // most one task — parallel tasks never share a center, and the
-  // ordered maps keep the fan-out (and thus the replay) deterministic.
-  std::map<int, std::vector<const TenantMove*>> by_source;
-  std::map<int, std::vector<const TenantMove*>> by_destination;
+  // Every shard's CompletePeriod has just emptied its queue, so a
+  // tenant's only center-resident state is its ledger balance. All
+  // extractions run before any adoption, each in plan order.
+  std::vector<double> charged;
+  charged.reserve(plan.moves.size());
   for (const TenantMove& move : plan.moves) {
-    by_source[move.from].push_back(&move);
-    by_destination[move.to].push_back(&move);
+    charged.push_back(
+        shards_[static_cast<size_t>(move.from)].center->ExtractTenant(
+            move.user));
   }
-
-  // What one extraction task hands to the adoption phase; the load and
-  // count keep the router's pending view consistent when tenants
-  // migrate with submissions still queued (between periods both are
-  // normally zero — the period just consumed the queue).
-  struct Extracted {
-    std::vector<cloud::TenantState> states;
-    double pending_load = 0.0;
-    int pending_count = 0;
-  };
-
-  // --- Phase 1: extraction, one task per source shard. ---
-  std::vector<int> sources;
-  std::vector<TaskExecutor::Task<Extracted>> extract_tasks;
-  for (const auto& [from, source_moves] : by_source) {
-    sources.push_back(from);
-    extract_tasks.push_back(
-        [this, from,
-         moves = source_moves](WorkerContext&) -> Result<Extracted> {
-          Shard& shard = shards_[static_cast<size_t>(from)];
-          Extracted extracted;
-          for (const TenantMove* move : moves) {
-            cloud::TenantState state =
-                shard.center->ExtractTenant(move->user);
-            for (const stream::QuerySubmission& sub : state.pending) {
-              STREAMBID_ASSIGN_OR_RETURN(
-                  const stream::PlanLoadEstimate estimate,
-                  stream::EstimatePlanLoad(*shard.engine, sub.plan,
-                                           options_.load_options));
-              extracted.pending_load += estimate.total_load;
-              ++extracted.pending_count;
-            }
-            extracted.states.push_back(std::move(state));
-          }
-          return extracted;
-        });
-  }
-  std::vector<Result<Extracted>> extracted_per_source =
-      executor_.RunAll(extract_tasks);
-  STREAMBID_RETURN_IF_ERROR(FirstError(extracted_per_source));
-
-  // Reassemble per destination on the caller's thread.
-  std::unordered_map<auction::UserId, cloud::TenantState> state_of;
-  for (size_t k = 0; k < sources.size(); ++k) {
-    Extracted& extracted = *extracted_per_source[k];
-    ShardStatus& status = statuses_[static_cast<size_t>(sources[k])];
-    status.pending_load =
-        std::max(0.0, status.pending_load - extracted.pending_load);
-    status.pending_count =
-        std::max(0, status.pending_count - extracted.pending_count);
-    for (cloud::TenantState& state : extracted.states) {
-      state_of[state.user] = std::move(state);
-    }
-  }
-
-  // --- Phase 2: adoption, one task per destination shard. ---
-  struct Adopted {
-    double pending_load = 0.0;
-    int pending_count = 0;
-  };
-  std::vector<int> destinations;
-  std::vector<TaskExecutor::Task<Adopted>> adopt_tasks;
-  for (const auto& [to, moves] : by_destination) {
-    // Tasks are std::functions (copyable), so the batch travels behind
-    // a shared_ptr rather than by move-capture.
-    auto batch = std::make_shared<std::vector<cloud::TenantState>>();
-    for (const TenantMove* move : moves) {
-      batch->push_back(std::move(state_of[move->user]));
-    }
-    destinations.push_back(to);
-    adopt_tasks.push_back(
-        [this, to, batch](WorkerContext&) -> Result<Adopted> {
-          Shard& shard = shards_[static_cast<size_t>(to)];
-          Adopted adopted;
-          for (cloud::TenantState& state : *batch) {
-            for (const stream::QuerySubmission& sub : state.pending) {
-              STREAMBID_ASSIGN_OR_RETURN(
-                  const stream::PlanLoadEstimate estimate,
-                  stream::EstimatePlanLoad(*shard.engine, sub.plan,
-                                           options_.load_options));
-              adopted.pending_load += estimate.total_load;
-              ++adopted.pending_count;
-            }
-            STREAMBID_RETURN_IF_ERROR(shard.center->AdoptTenant(state));
-          }
-          return adopted;
-        });
-  }
-  const std::vector<Result<Adopted>> adopted_per_destination =
-      executor_.RunAll(adopt_tasks);
-  STREAMBID_RETURN_IF_ERROR(FirstError(adopted_per_destination));
-  for (size_t k = 0; k < destinations.size(); ++k) {
-    ShardStatus& status =
-        statuses_[static_cast<size_t>(destinations[k])];
-    status.pending_load += adopted_per_destination[k]->pending_load;
-    status.pending_count += adopted_per_destination[k]->pending_count;
-  }
-
-  // --- Commit the placement: pin the tenants to their new homes. ---
-  for (const TenantMove& move : plan.moves) {
+  // Adopt the balance and pin the tenant to its new home.
+  for (size_t k = 0; k < plan.moves.size(); ++k) {
+    const TenantMove& move = plan.moves[k];
+    shards_[static_cast<size_t>(move.to)].center->AdoptTenant(move.user,
+                                                               charged[k]);
     overrides_[move.user] = move.to;
     TenantRecord& record = tenants_[move.user];
     record.home = move.to;
@@ -405,7 +288,6 @@ Status ClusterCenter::RebalanceAfterPeriod() {
         static_cast<int64_t>(plan.moves.size()));
   }
   migrations_.push_back(std::move(plan));
-  return Status::Ok();
 }
 
 double ClusterCenter::total_revenue() const {

@@ -21,14 +21,14 @@
 // carry the auction RNG — so each shard's report is byte-identical to a
 // standalone DsmsCenter::RunPeriod twin at every pool size.
 //
-// The period tail is itself staged: the router's per-shard view
-// refreshes, the shard reports merge, and — when
+// The period tail runs on the caller's thread: the router's per-shard
+// view refreshes, the shard reports merge, and — when
 // ClusterOptions::rebalance is enabled — a ShardRebalancer plans
-// inter-period tenant migrations from the refreshed signals and the
-// migrations fan out on the same pool (extraction tasks per source
-// shard, then adoption tasks per destination shard; each shard is
-// touched by at most one task per phase). The plan is a pure function
-// of (history, seed), so the replay contract survives rebalancing.
+// inter-period tenant migrations from the refreshed signals. Every
+// shard's queue is empty by then, so a migration moves only the
+// tenant's ledger balance and pins its routing. The plan is a pure
+// function of (history, seed), so the replay contract survives
+// rebalancing.
 
 #ifndef STREAMBID_CLUSTER_CLUSTER_CENTER_H_
 #define STREAMBID_CLUSTER_CLUSTER_CENTER_H_
@@ -91,10 +91,10 @@ struct ClusterOptions {
   cloud::AutoscalerOptions autoscale;
   /// Inter-period tenant migration (see ShardRebalancer). When enabled,
   /// each period tail plans a bounded migration from the hottest shard
-  /// to the coldest one, moves the tenants' center-resident state on
-  /// the executor pool, and pins the moved tenants to their new home
-  /// via routing overrides. Plans are pure functions of (history,
-  /// rebalance.seed): replay is unchanged at every pool size.
+  /// to the coldest one, moves the tenants' ledger balances, and pins
+  /// the moved tenants to their new home via routing overrides. Plans
+  /// are pure functions of (history, rebalance.seed): replay is
+  /// unchanged at every pool size.
   ///
   /// Meant for stable placements (kHashUser, or tenants already
   /// pinned): the per-tenant demand signal attributes a tenant's whole
@@ -158,8 +158,8 @@ struct BatchSubmitOutcome {
 
 /// N admission-controlled centers behind one router and one executor.
 /// Not thread-safe at the surface (one caller drives submissions and
-/// periods); internally every period stage fans out on the executor's
-/// persistent pool — no other threads are ever created.
+/// periods); internally each shard's period chain runs on the
+/// executor's persistent pool — no other threads are ever created.
 class ClusterCenter {
  public:
   /// Applied to every shard engine at construction (register sources,
@@ -174,8 +174,12 @@ class ClusterCenter {
                 const EngineConfigurator& configure_engine);
 
   /// Routes the submission to a shard and queues it there for the next
-  /// period. Returns the shard index. Routing happens before admission:
-  /// a submission rejected by its shard's auction is not re-routed.
+  /// period. Returns the shard index. The shard's DsmsCenter::Submit
+  /// validates and prices the plan; its load estimate feeds the
+  /// router's pending view and the tenant's rebalancer signal, and a
+  /// refused submission changes neither. Routing happens before
+  /// admission: a submission rejected by its shard's auction is not
+  /// re-routed.
   Result<int> Submit(stream::QuerySubmission submission);
 
   /// Moves a drained gate batch into the shard queues, in batch order —
@@ -246,13 +250,13 @@ class ClusterCenter {
   Result<ClusterPeriodReport> MergeCompleted(
       std::vector<Result<cloud::PeriodReport>> completed,
       const Timer& timer);
-  /// The rebalance stage of the period tail: fold the period's tenant
-  /// activity into the signals, plan, and apply the migrations on the
-  /// executor pool (extract per source shard, adopt per destination
-  /// shard). No-op when rebalancing is disabled or the plan is empty.
-  /// A failed adoption surfaces here and — like a failed shard — leaves
-  /// the cluster unrecoverable mid-migration.
-  Status RebalanceAfterPeriod();
+  /// The rebalance stage of the period tail: plan from the tenant
+  /// signals, then move each planned tenant's ledger balance (every
+  /// extraction, then every adoption, in plan order) and pin it to its
+  /// new shard. Runs only after every shard's CompletePeriod emptied
+  /// its queue. No-op when rebalancing is disabled or the plan is
+  /// empty.
+  void RebalanceAfterPeriod();
 
   /// Submit-time view of one tenant, the rebalancer's signal source.
   struct TenantRecord {

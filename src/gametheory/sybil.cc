@@ -2,8 +2,6 @@
 
 #include "gametheory/sybil.h"
 
-#include <algorithm>
-
 #include "common/rng.h"
 #include "gametheory/payoff.h"
 

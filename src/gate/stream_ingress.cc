@@ -41,16 +41,10 @@ StreamIngress::StreamIngress(cluster::ClusterCenter* center,
 
 int StreamIngress::Classify(
     const stream::QuerySubmission& submission) const {
-  int k;
-  if (options_.classifier) {
-    k = options_.classifier(submission);
-  } else {
-    // Default: spread tenants over the classes by user id.
-    const int classes = static_cast<int>(pools_.size());
-    k = static_cast<int>(submission.user % classes);
-    if (k < 0) k += classes;
-  }
-  return std::clamp(k, 0, static_cast<int>(pools_.size()) - 1);
+  const int classes = static_cast<int>(pools_.size());
+  const int k = submission.user % classes;
+  // User ids are signed; a negative remainder wraps into range.
+  return k < 0 ? k + classes : k;
 }
 
 Status StreamIngress::Offer(stream::QuerySubmission submission) {

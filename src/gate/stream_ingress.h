@@ -36,7 +36,6 @@
 #define STREAMBID_GATE_STREAM_INGRESS_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -60,7 +59,8 @@ namespace streambid::gate {
 
 /// Gate configuration.
 struct IngressOptions {
-  /// Tenant classes (>= 1); each gets its own ticket pool, so one hot
+  /// Tenant classes (>= 1); a submission's class is its user id modulo
+  /// tenant_classes. Each class gets its own ticket pool, so one hot
   /// class exhausts its own pool and sheds while the others keep
   /// flowing.
   int tenant_classes = 1;
@@ -76,10 +76,6 @@ struct IngressOptions {
   /// When enabled, each ClosePeriod feeds the admitted count to the
   /// probe and splits its concurrency across the class pools.
   ProbeOptions probe;
-  /// Maps a submission to its tenant class in [0, tenant_classes).
-  /// Default: user id modulo tenant_classes. Must be thread-safe and
-  /// deterministic.
-  std::function<int(const stream::QuerySubmission&)> classifier;
   /// Optional telemetry sink: Offer publishes gate_offered/gate_shed
   /// counters and the gate_buffered gauge; ClosePeriod publishes
   /// gate_admitted/gate_dropped, the merged pool-wait p99, and the
@@ -165,9 +161,7 @@ class StreamIngress {
   int64_t total_shed() const { return total_shed_; }
 
  private:
-  /// Tenant class of `submission` via the configured classifier,
-  /// clamped into range (a misbehaving classifier must not index out of
-  /// the pool vector).
+  /// Tenant class of `submission`: its user id modulo tenant_classes.
   int Classify(const stream::QuerySubmission& submission) const;
 
   cluster::ClusterCenter* center_;

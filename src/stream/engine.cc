@@ -238,8 +238,8 @@ Status Engine::InstallQuery(int query_id, const QueryPlan& plan) {
     return Status::AlreadyExists("query id already installed: " +
                                  std::to_string(query_id));
   }
-  STREAMBID_RETURN_IF_ERROR(plan.Validate());
-  // Validate fully (fields, sources) before mutating shared state.
+  // Validate fully (structure, fields, sources) before mutating shared
+  // state.
   STREAMBID_RETURN_IF_ERROR(DeriveOutputSchema(plan).status());
 
   STREAMBID_ASSIGN_OR_RETURN(

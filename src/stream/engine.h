@@ -90,8 +90,9 @@ class Engine {
 
   // --- Query management ---------------------------------------------
 
-  /// Validates `plan` against the registered sources and derives its
-  /// output schema without installing anything.
+  /// Runs QueryPlan::Validate, then validates `plan` against the
+  /// registered sources and derives its output schema without
+  /// installing anything.
   Result<SchemaPtr> DeriveOutputSchema(const QueryPlan& plan) const;
 
   /// Instantiates `plan` for `query_id`, sharing identical subtrees

@@ -40,8 +40,7 @@ double DefaultCostFor(const OpSpec& spec) {
 Result<PlanLoadEstimate> EstimatePlanLoad(
     const Engine& engine, const QueryPlan& plan,
     const LoadEstimateOptions& options) {
-  STREAMBID_RETURN_IF_ERROR(plan.Validate());
-  // Field-level validation via schema derivation.
+  // Structural and field-level validation via schema derivation.
   STREAMBID_RETURN_IF_ERROR(engine.DeriveOutputSchema(plan).status());
 
   PlanLoadEstimate est;

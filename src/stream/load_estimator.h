@@ -55,7 +55,8 @@ struct PlanLoadEstimate {
 };
 
 /// Estimates rates and loads for `plan` against the engine's registered
-/// sources. Fails when the plan references unknown sources/fields.
+/// sources. Fails as Engine::DeriveOutputSchema does: on a plan that
+/// does not validate or references unknown sources/fields.
 Result<PlanLoadEstimate> EstimatePlanLoad(const Engine& engine,
                                           const QueryPlan& plan,
                                           const LoadEstimateOptions& options);

@@ -32,6 +32,12 @@ Status ValidateParams(const OpSpec& spec) {
             "aggregate: window size and slide must be positive and "
             "finite, slide at most size");
       }
+      if (spec.window.size / spec.window.slide >
+          kMaxAggregateWindowsPerTuple) {
+        return Status::InvalidArgument(
+            "aggregate: size/slide exceeds " +
+            std::to_string(static_cast<int>(kMaxAggregateWindowsPerTuple)));
+      }
       break;
     case OpKind::kJoin:
       if (!PositiveFinite(spec.join_window)) {
@@ -151,6 +157,23 @@ Status QueryPlan::Validate() const {
   }
   if (!has_source) {
     return Status::InvalidArgument("plan has no source node");
+  }
+  // Inputs point backwards, so one backward pass from the output marks
+  // every node that feeds it.
+  std::vector<bool> feeds_output(nodes.size(), false);
+  feeds_output[static_cast<size_t>(output_node)] = true;
+  for (int i = output_node; i >= 0; --i) {
+    if (!feeds_output[static_cast<size_t>(i)]) continue;
+    for (int in : nodes[static_cast<size_t>(i)].inputs) {
+      feeds_output[static_cast<size_t>(in)] = true;
+    }
+  }
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (!feeds_output[i]) {
+      return Status::InvalidArgument(
+          "node " + std::to_string(i) + " (" + nodes[i].spec.Signature() +
+          ") does not feed the output node");
+    }
   }
   return Status::Ok();
 }

@@ -95,6 +95,11 @@ struct OpSpec {
   std::string Signature() const;
 };
 
+/// Largest aggregate size/slide accepted by QueryPlan::Validate. A
+/// tuple joins size/slide overlapping windows and the aggregate walks
+/// each one per tuple, a cost the load estimate does not price.
+inline constexpr double kMaxAggregateWindowsPerTuple = 1000.0;
+
 /// A query plan: nodes with input edges (indices into `nodes`, which
 /// must point to earlier entries, making the vector a topological
 /// order), plus the index of the output (sink) node.
@@ -108,10 +113,14 @@ struct QueryPlan {
   int output_node = -1;
 
   /// Structural validation: input arity and ordering, output in range,
-  /// at least one source. Also rejects the numeric parameters the
+  /// at least one source, and every node feeding the output (the engine
+  /// installs only the output's subtree, so any other node would be
+  /// priced but never run). Also rejects the numeric parameters the
   /// engine cannot run or price: a negative or non-finite cost override,
   /// a window that is not positive and finite (or an aggregate slide
-  /// longer than its window), topk k <= 0, and map division by zero.
+  /// longer than its window or shorter than size /
+  /// kMaxAggregateWindowsPerTuple), topk k <= 0, and map division by
+  /// zero.
   Status Validate() const;
 
   /// Recursive subtree signature of `node` (the engine's sharing key).

@@ -43,7 +43,7 @@ enum class Phase : int {
   kAutoscale = 2,  ///< The capacity decision inside prepare.
   kAdmit = 3,      ///< The admission auction on a worker's service.
   kComplete = 4,   ///< Transition + engine execution + billing.
-  kRebalance = 5,  ///< The period tail's migration plan + fan-out.
+  kRebalance = 5,  ///< The period tail's migration plan + ledger moves.
 };
 
 const char* PhaseName(Phase phase);

@@ -96,6 +96,19 @@ TEST(AuctionInstanceTest, WithBidReplacesBidAndMaxBid) {
   EXPECT_DOUBLE_EQ(r->bid(1), 9.0);
 }
 
+TEST(AuctionInstanceDeathTest, WithBidChecksIndexAndBid) {
+  auto r = AuctionInstance::Create(Ops({1.0}),
+                                   {{0, 5.0, {0}}, {1, 9.0, {0}}});
+  ASSERT_TRUE(r.ok());
+  EXPECT_DEATH(r->WithBid(-1, 1.0), "CHECK failed");
+  EXPECT_DEATH(r->WithBid(2, 1.0), "CHECK failed");
+  EXPECT_DEATH(r->WithBid(0, -1.0), "CHECK failed");
+  EXPECT_DEATH(r->WithBid(0, std::numeric_limits<double>::infinity()),
+               "CHECK failed");
+  EXPECT_DEATH(r->WithBid(0, std::numeric_limits<double>::quiet_NaN()),
+               "CHECK failed");
+}
+
 TEST(AuctionInstanceTest, WithExtraQueriesRecomputesFairShare) {
   auto r = AuctionInstance::Create(Ops({4.0}), {{0, 10.0, {0}}});
   ASSERT_TRUE(r.ok());

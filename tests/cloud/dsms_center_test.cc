@@ -8,6 +8,7 @@
 
 #include <limits>
 
+#include "stream/load_estimator.h"
 #include "stream/query_builder.h"
 
 namespace streambid::cloud {
@@ -115,7 +116,7 @@ TEST_F(DsmsCenterTest, SubmitValidation) {
   DsmsCenterOptions options;
   DsmsCenter center(options, &engine_);
   QuerySubmission bad = MakeSubmission(1, 1, -5.0, 110.0);
-  EXPECT_EQ(center.Submit(bad).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(center.Submit(bad).status().code(), StatusCode::kInvalidArgument);
 
   QueryBuilder b;
   const int src = b.Source("no_such_stream");
@@ -123,10 +124,11 @@ TEST_F(DsmsCenterTest, SubmitValidation) {
   unknown.query_id = 2;
   unknown.bid = 5.0;
   unknown.plan = b.Build(src);
-  EXPECT_EQ(center.Submit(unknown).code(), StatusCode::kNotFound);
+  EXPECT_EQ(center.Submit(unknown).status().code(),
+            StatusCode::kNotFound);
 
   ASSERT_TRUE(center.Submit(MakeSubmission(3, 1, 5.0, 1.0)).ok());
-  EXPECT_EQ(center.Submit(MakeSubmission(3, 1, 5.0, 1.0)).code(),
+  EXPECT_EQ(center.Submit(MakeSubmission(3, 1, 5.0, 1.0)).status().code(),
             StatusCode::kAlreadyExists);
 }
 
@@ -137,7 +139,9 @@ TEST_F(DsmsCenterTest, SubmitRejectsNonFiniteBid) {
   int id = 1;
   for (const double bad :
        {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
-    EXPECT_EQ(center.Submit(MakeSubmission(id++, 1, bad, 110.0)).code(),
+    EXPECT_EQ(center.Submit(MakeSubmission(id++, 1, bad, 110.0))
+                  .status()
+                  .code(),
               StatusCode::kInvalidArgument)
         << bad;
   }
@@ -164,7 +168,7 @@ TEST_F(DsmsCenterTest, SubmitRejectsNonFiniteCostOverride) {
     sub.user = 1;
     sub.bid = 10.0;
     sub.plan = b.Build(1);
-    EXPECT_EQ(center.Submit(std::move(sub)).code(),
+    EXPECT_EQ(center.Submit(std::move(sub)).status().code(),
               StatusCode::kInvalidArgument)
         << bad;
   }
@@ -215,8 +219,72 @@ TEST_F(DsmsCenterTest, SharedSubmissionsAdmitMoreThanDisjoint) {
   EXPECT_EQ(report->admitted, 3);
 }
 
-// --- Tenant extract/adopt: the migration surface the cluster
-// rebalancer moves a subscription's state through. ---
+// --- Plans the auction cannot price are refused at Submit, so they
+// cannot stall every later period of the center. ---
+
+TEST_F(DsmsCenterTest, SubmitRejectsSourceOnlyPlan) {
+  DsmsCenterOptions options;
+  options.period_length = 5.0;
+  DsmsCenter center(options, &engine_);
+  QueryBuilder b;
+  QuerySubmission tap;
+  tap.query_id = 1;
+  tap.user = 1;
+  tap.bid = 10.0;
+  tap.plan = b.Build(b.Source("quotes"));
+  EXPECT_EQ(center.Submit(std::move(tap)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(center.pending_submissions(), 0);
+
+  ASSERT_TRUE(center.Submit(MakeSubmission(2, 2, 10.0, 110.0)).ok());
+  auto report = center.RunPeriod();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->submissions, 1);
+  EXPECT_EQ(report->admitted, 1);
+}
+
+TEST_F(DsmsCenterTest, SubmitRejectsOverflowingLoadEstimate) {
+  DsmsCenterOptions options;
+  options.period_length = 5.0;
+  DsmsCenter center(options, &engine_);
+  // A finite but huge join window overflows the join's estimated output
+  // rate, so the select it feeds is priced at an infinite load.
+  QueryBuilder b;
+  const int src = b.Source("quotes");
+  const int joined = b.Join(src, src, "symbol", "symbol", 1e308);
+  const int sel = b.Select(joined, "price", CompareOp::kGt, Value(110.0));
+  QuerySubmission huge;
+  huge.query_id = 1;
+  huge.user = 1;
+  huge.bid = 10.0;
+  huge.plan = b.Build(sel);
+  EXPECT_EQ(center.Submit(std::move(huge)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(center.pending_submissions(), 0);
+
+  ASSERT_TRUE(center.Submit(MakeSubmission(2, 2, 10.0, 110.0)).ok());
+  auto report = center.RunPeriod();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->submissions, 1);
+  EXPECT_EQ(report->admitted, 1);
+}
+
+TEST_F(DsmsCenterTest, SubmitReturnsTheLoadEstimate) {
+  DsmsCenterOptions options;
+  DsmsCenter center(options, &engine_);
+  QuerySubmission sub = MakeSubmission(1, 1, 10.0, 110.0);
+  const auto estimate =
+      stream::EstimatePlanLoad(engine_, sub.plan, options.load_options);
+  ASSERT_TRUE(estimate.ok());
+  const auto load = center.Submit(std::move(sub));
+  ASSERT_TRUE(load.ok());
+  EXPECT_DOUBLE_EQ(*load, estimate->total_load);
+}
+
+// --- Tenant extract/adopt: the migration surface the cluster rebalancer
+// moves a tenant through. It runs between periods, after the auction has
+// drained every pending submission, so what moves is the ledger balance.
+// ---
 
 TEST_F(DsmsCenterTest, ExtractTenantMovesPendingAndCharges) {
   DsmsCenterOptions options;
@@ -231,27 +299,23 @@ TEST_F(DsmsCenterTest, ExtractTenantMovesPendingAndCharges) {
   ASSERT_TRUE(center.RunPeriod().ok());
   const double charged = center.ledger().TotalCharged(7);
   ASSERT_GT(charged, 0.0);
+  const double other = center.ledger().TotalCharged(9);
   const double total_before = center.total_revenue();
 
-  // Queue the next period with a mix of tenants, then extract user 7.
-  ASSERT_TRUE(center.Submit(MakeSubmission(11, 7, 30.0, 110.0)).ok());
-  ASSERT_TRUE(center.Submit(MakeSubmission(12, 9, 25.0, 120.0)).ok());
-  ASSERT_TRUE(center.Submit(MakeSubmission(13, 7, 20.0, 125.0)).ok());
-  TenantState state = center.ExtractTenant(7);
-  EXPECT_EQ(state.user, 7);
-  ASSERT_EQ(state.pending.size(), 2u);
-  EXPECT_EQ(state.pending[0].query_id, 11);  // Submission order kept.
-  EXPECT_EQ(state.pending[1].query_id, 13);
-  EXPECT_DOUBLE_EQ(state.charged, charged);
-  // The source center no longer holds any of it.
-  EXPECT_EQ(center.pending_submissions(), 1);
+  // The period consumed every pending submission, so none is left to
+  // move, and extraction carries the charges alone.
+  ASSERT_EQ(center.pending_submissions(), 0);
+  EXPECT_DOUBLE_EQ(center.ExtractTenant(7), charged);
+  EXPECT_EQ(center.pending_submissions(), 0);
+  // The source center no longer holds the balance; other tenants keep
+  // theirs.
   EXPECT_DOUBLE_EQ(center.ledger().TotalCharged(7), 0.0);
+  EXPECT_DOUBLE_EQ(center.ledger().TotalCharged(9), other);
   EXPECT_DOUBLE_EQ(center.total_revenue(), total_before - charged);
 
-  // Unknown tenants extract as empty state, harmlessly.
-  const TenantState nobody = center.ExtractTenant(12345);
-  EXPECT_TRUE(nobody.pending.empty());
-  EXPECT_DOUBLE_EQ(nobody.charged, 0.0);
+  // Extracting again, or a tenant this center never billed, yields zero.
+  EXPECT_DOUBLE_EQ(center.ExtractTenant(7), 0.0);
+  EXPECT_DOUBLE_EQ(center.ExtractTenant(12345), 0.0);
 }
 
 TEST_F(DsmsCenterTest, AdoptTenantQueuesAndCredits) {
@@ -272,70 +336,36 @@ TEST_F(DsmsCenterTest, AdoptTenantQueuesAndCredits) {
   ASSERT_TRUE(source.Submit(MakeSubmission(3, 7, 45.0, 120.0)).ok());
   ASSERT_TRUE(source.Submit(MakeSubmission(4, 9, 10.0, 130.0)).ok());
   ASSERT_TRUE(source.RunPeriod().ok());
-  ASSERT_TRUE(source.Submit(MakeSubmission(2, 7, 45.0, 112.0)).ok());
   const double charged = source.ledger().TotalCharged(7);
   ASSERT_GT(charged, 0.0);
+  const double total = source.total_revenue() + destination.total_revenue();
 
-  TenantState state = source.ExtractTenant(7);
-  ASSERT_TRUE(destination.AdoptTenant(state).ok());
-  EXPECT_TRUE(state.pending.empty());  // Consumed on success.
-  EXPECT_DOUBLE_EQ(state.charged, 0.0);
-  EXPECT_EQ(destination.pending_submissions(), 1);
+  // The balance moves, and the total across the two centers is
+  // conserved.
+  destination.AdoptTenant(7, source.ExtractTenant(7));
   EXPECT_DOUBLE_EQ(destination.ledger().TotalCharged(7), charged);
+  EXPECT_DOUBLE_EQ(source.ledger().TotalCharged(7), 0.0);
+  EXPECT_DOUBLE_EQ(source.total_revenue() + destination.total_revenue(),
+                   total);
 
-  // The state is spent: adopting it again is a harmless no-op, never a
-  // double credit.
-  ASSERT_TRUE(destination.AdoptTenant(state).ok());
+  // The adopted tenant's next submission queues at the destination and
+  // competes in its next auction; the credited balance stays.
+  ASSERT_TRUE(destination.Submit(MakeSubmission(2, 7, 45.0, 112.0)).ok());
   EXPECT_EQ(destination.pending_submissions(), 1);
-  EXPECT_DOUBLE_EQ(destination.ledger().TotalCharged(7), charged);
-
-  // The adopted submission competes in the destination's next auction.
   const auto report = destination.RunPeriod();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->submissions, 1);
   EXPECT_EQ(report->admitted, 1);
+  EXPECT_GE(destination.ledger().TotalCharged(7), charged);
 }
 
-TEST_F(DsmsCenterTest, AdoptTenantIsAllOrNothing) {
+using DsmsCenterDeathTest = DsmsCenterTest;
+
+TEST_F(DsmsCenterDeathTest, ExtractTenantRequiresEmptyQueue) {
   DsmsCenterOptions options;
-  options.mechanism = "cat";
-  options.period_length = 5.0;
   DsmsCenter center(options, &engine_);
-  ASSERT_TRUE(center.Submit(MakeSubmission(1, 9, 50.0, 110.0)).ok());
-
-  // Second pending submission collides with an id already queued here:
-  // nothing may be adopted, and the caller keeps the state.
-  TenantState state;
-  state.user = 7;
-  state.charged = 3.5;
-  state.pending.push_back(MakeSubmission(5, 7, 40.0, 112.0));
-  state.pending.push_back(MakeSubmission(1, 7, 30.0, 114.0));
-  EXPECT_EQ(center.AdoptTenant(state).code(),
-            StatusCode::kAlreadyExists);
-  EXPECT_EQ(state.pending.size(), 2u);
-  EXPECT_EQ(center.pending_submissions(), 1);
-  EXPECT_DOUBLE_EQ(center.ledger().TotalCharged(7), 0.0);
-
-  // A plan the destination engine rejects blocks adoption the same way.
-  QueryBuilder bad;
-  const int src = bad.Source("no_such_stream");
-  QuerySubmission unknown;
-  unknown.query_id = 6;
-  unknown.user = 7;
-  unknown.bid = 5.0;
-  unknown.plan = bad.Build(src);
-  state.pending[1] = std::move(unknown);
-  EXPECT_EQ(center.AdoptTenant(state).code(), StatusCode::kNotFound);
-  EXPECT_EQ(center.pending_submissions(), 1);
-
-  // Duplicate ids inside the adopted batch itself are also rejected.
-  TenantState twins;
-  twins.user = 8;
-  twins.pending.push_back(MakeSubmission(9, 8, 20.0, 111.0));
-  twins.pending.push_back(MakeSubmission(9, 8, 25.0, 113.0));
-  EXPECT_EQ(center.AdoptTenant(twins).code(),
-            StatusCode::kAlreadyExists);
-  EXPECT_EQ(center.pending_submissions(), 1);
+  ASSERT_TRUE(center.Submit(MakeSubmission(1, 7, 50.0, 110.0)).ok());
+  EXPECT_DEATH(center.ExtractTenant(7), "pending_.empty");
 }
 
 }  // namespace

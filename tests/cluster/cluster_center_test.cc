@@ -401,7 +401,8 @@ TEST(ClusterCenterTest, FailedSubmitLeavesStatusesUntouched) {
   ASSERT_TRUE(cluster.Submit(MakeSubmission(1, 1, 40.0, 105.0)).ok());
   const std::vector<ShardStatus> before = cluster.shard_statuses();
 
-  // Load estimation fails after routing (unknown source)...
+  // The shard's Submit refuses the plan after routing (unknown
+  // source)...
   QueryBuilder bad;
   const int src = bad.Source("no_such_stream");
   QuerySubmission unknown;
@@ -411,8 +412,7 @@ TEST(ClusterCenterTest, FailedSubmitLeavesStatusesUntouched) {
   unknown.plan = bad.Build(src);
   EXPECT_EQ(cluster.Submit(std::move(unknown)).status().code(),
             StatusCode::kNotFound);
-  // ...and the shard's own Submit fails after estimation (duplicate
-  // pending id routed to the same least-loaded shard as a duplicate).
+  // ...and refuses a duplicate pending id routed to the same shard.
   EXPECT_EQ(cluster.Submit(MakeSubmission(1, 1, 40.0, 105.0))
                 .status()
                 .code(),
@@ -423,6 +423,34 @@ TEST(ClusterCenterTest, FailedSubmitLeavesStatusesUntouched) {
     EXPECT_EQ(after[s].pending_count, before[s].pending_count) << s;
     EXPECT_DOUBLE_EQ(after[s].pending_load, before[s].pending_load) << s;
   }
+}
+
+TEST(ClusterCenterTest, UnpriceablePlanDoesNotStallTheCluster) {
+  // A source-only plan has nothing for the auction to price. The shard
+  // refuses it at Submit, so it cannot fail every later period.
+  ClusterCenter cluster(BaseOptions(2, RoutingPolicy::kHashUser),
+                        RegisterQuotes);
+  ASSERT_TRUE(cluster.Submit(MakeSubmission(1, 1, 40.0, 105.0)).ok());
+  const std::vector<ShardStatus> before = cluster.shard_statuses();
+
+  QueryBuilder b;
+  QuerySubmission tap;
+  tap.query_id = 2;
+  tap.user = 2;
+  tap.bid = 30.0;
+  tap.plan = b.Build(b.Source("quotes"));
+  EXPECT_EQ(cluster.Submit(std::move(tap)).status().code(),
+            StatusCode::kInvalidArgument);
+
+  const std::vector<ShardStatus>& after = cluster.shard_statuses();
+  for (size_t s = 0; s < before.size(); ++s) {
+    EXPECT_EQ(after[s].pending_count, before[s].pending_count) << s;
+    EXPECT_DOUBLE_EQ(after[s].pending_load, before[s].pending_load) << s;
+  }
+  const auto report = cluster.RunPeriod();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->submissions, 1);
+  EXPECT_EQ(report->admitted, 1);
 }
 
 TEST(ClusterCenterTest, SingleShardDegeneratesToOneCenter) {

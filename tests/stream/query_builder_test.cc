@@ -41,6 +41,28 @@ TEST(QueryBuilderTest, BuilderResetsAfterBuild) {
   EXPECT_EQ(p2.nodes[0].spec.source_name, "b");
 }
 
+TEST(QueryBuilderTest, ValidateRejectsNodesThatDoNotFeedTheOutput) {
+  // The engine installs only the output's subtree, so an unused node
+  // would be priced by the load estimate but never run.
+  QueryBuilder b;
+  const int src = b.Source("quotes");
+  b.Aggregate(src, AggFn::kAvg, "price", "symbol", {60.0, 30.0});
+  const int sel = b.Select(src, "price", CompareOp::kGt, Value(100.0));
+  EXPECT_EQ(b.Build(sel).Validate().code(), StatusCode::kInvalidArgument);
+
+  // A node after the output feeds nothing either.
+  const int quotes = b.Source("quotes");
+  const int out = b.Select(quotes, "price", CompareOp::kGt, Value(1.0));
+  b.Project(out, {"symbol"});
+  EXPECT_EQ(b.Build(out).Validate().code(), StatusCode::kInvalidArgument);
+
+  // A shared input feeding the output along two paths is live.
+  const int tap = b.Source("quotes");
+  const int hi = b.Select(tap, "price", CompareOp::kGt, Value(100.0));
+  const int lo = b.Select(tap, "price", CompareOp::kLt, Value(50.0));
+  EXPECT_TRUE(b.Build(b.Union(hi, lo)).Validate().ok());
+}
+
 TEST(QueryBuilderTest, CostOverrideAppliesToLastNode) {
   QueryBuilder b;
   const int src = b.Source("quotes");
@@ -147,6 +169,21 @@ TEST(QueryPlanTest, ValidateRejectsBadNumericParams) {
                           "p"))
                 .Validate()
                 .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(QueryPlanTest, ValidateBoundsAggregateWindowsPerTuple) {
+  auto aggregate_plan = [](double size, double slide) {
+    QueryBuilder b;
+    const int src = b.Source("quotes");
+    return b.Build(
+        b.Aggregate(src, AggFn::kAvg, "price", "symbol", {size, slide}));
+  };
+  EXPECT_EQ(kMaxAggregateWindowsPerTuple, 1000.0);
+  EXPECT_TRUE(aggregate_plan(1000.0, 1.0).Validate().ok());
+  EXPECT_EQ(aggregate_plan(1001.0, 1.0).Validate().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(aggregate_plan(1e6, 1e-3).Validate().code(),
             StatusCode::kInvalidArgument);
 }
 

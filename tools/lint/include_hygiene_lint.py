@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 # Copyright 2026 The streambid Authors
-"""Include-hygiene linter for streambid headers.
+"""Include-hygiene linter for streambid headers and sources.
 
 Headers are the tree's dependency fan-out: an #include a header does
 not need is recompilation tax on every consumer forever, and a symbol
@@ -10,10 +10,12 @@ honest for the standard-library headers, where a curated token map can
 be precise (repo-relative includes are left to the compiler):
 
   unused-include    a mapped std header is #included but none of its
-                    tokens appear in the file body.
+                    tokens appear in the file body (headers and .cc
+                    files).
   missing-include   a mapped std header's tokens appear but the header
                     is not #included directly (attributed to the first
-                    use).
+                    use). Headers only: a .cc file gets std names
+                    through its own header, which is checked here.
 
 Only headers in the token map participate; anything unmapped is
 skipped rather than guessed. The two rules deliberately use different
@@ -26,10 +28,10 @@ the (file, header) pair to KEEP_MAP below when the include line should
 stay byte-identical to upstream.
 
 Usage:
-  include_hygiene_lint.py [--root REPO_ROOT]  # scan src/ headers
+  include_hygiene_lint.py [--root REPO_ROOT]  # scan src/
   include_hygiene_lint.py --self-test         # run against the fixtures
 
-Self-test: fixture headers under tools/lint/fixtures/includes/ mark
+Self-test: fixture files under tools/lint/fixtures/includes/ mark
 each expected finding with "// WANT(<rule>)"; --self-test asserts the
 finding set matches the markers exactly.
 
@@ -56,7 +58,8 @@ STD_TOKEN_MAP: Dict[str, str] = {
     "algorithm": r"\bstd::(?:sort|stable_sort|min|max|clamp|find|find_if|"
                  r"fill|copy|transform|lower_bound|upper_bound|all_of|"
                  r"any_of|none_of|count_if|remove_if|shuffle|nth_element|"
-                 r"partial_sort|reverse|max_element|min_element)\b",
+                 r"partial_sort|reverse|max_element|min_element|push_heap|"
+                 r"pop_heap|make_heap)\b",
     "any": r"\bstd::(?:any|any_cast|bad_any_cast)\b",
     "array": r"\bstd::array\b",
     "atomic": r"\bstd::(?:atomic|memory_order)\b",
@@ -64,13 +67,14 @@ STD_TOKEN_MAP: Dict[str, str] = {
     "cassert": r"\bassert\s*\(",
     "chrono": r"\bstd::chrono\b",
     "cmath": r"\bstd::(?:sqrt|pow|exp|log|log2|log10|fabs|abs|floor|ceil|"
-             r"round|isnan|isfinite|isinf|fmod|hypot|lerp|nan)\b",
+             r"round|lround|isnan|isfinite|isinf|fmod|hypot|lerp|nan)\b",
     "condition_variable": r"\bstd::(?:condition_variable|cv_status)\b",
     "cstddef": r"\bstd::(?:size_t|byte|ptrdiff_t|nullptr_t)\b",
     "cstdint": r"\bstd::u?int(?:8|16|32|64|max|ptr)_t\b",
     "cstdio": r"\bstd::(?:fprintf|printf|snprintf|fopen|fclose|fwrite|"
               r"fflush|FILE)\b",
-    "cstdlib": r"\bstd::(?:abort|exit|getenv|strtod|strtol|malloc|free)\b",
+    "cstdlib": r"\bstd::(?:abort|exit|getenv|strtod|strtol|strtoll|atoll|"
+               r"malloc|free)\b",
     "cstring": r"\bstd::(?:memcpy|memset|memmove|strcmp|strlen|strncmp)\b",
     "deque": r"\bstd::deque\b",
     "fstream": r"\bstd::(?:ifstream|ofstream|fstream)\b",
@@ -126,7 +130,8 @@ STD_TOKEN_MAP: Dict[str, str] = {
 USE_TOKEN_OVERRIDES: Dict[str, str] = {
     "cassert": r"\b(?:static_)?assert\s*\(",
     "cmath": r"\b(?:std::)?(?:sqrt|pow|exp|log|log2|log10|fabs|floor|"
-             r"ceil|round|isnan|isfinite|isinf|fmod|hypot|lerp|nan)\s*\(|"
+             r"ceil|round|lround|isnan|isfinite|isinf|fmod|hypot|lerp|"
+             r"nan)\s*\(|"
              r"\bstd::abs\b|\b(?:NAN|INFINITY|M_PI)\b",
     "cstddef": r"\b(?:std::)?(?:size_t|ptrdiff_t|max_align_t)\b|"
                r"\bstd::byte\b|\boffsetof\s*\(",
@@ -134,8 +139,8 @@ USE_TOKEN_OVERRIDES: Dict[str, str] = {
                r"\b(?:U?INT(?:8|16|32|64)_MAX|SIZE_MAX)\b",
     "cstdio": r"\b(?:std::)?(?:fprintf|printf|snprintf|fopen|fclose|"
               r"fwrite|fflush)\s*\(|\bFILE\b|\bstd(?:err|out|in)\b",
-    "cstdlib": r"\b(?:std::)?(?:abort|exit|getenv|strtod|strtol|malloc|"
-               r"free)\s*\(|\bEXIT_(?:SUCCESS|FAILURE)\b",
+    "cstdlib": r"\b(?:std::)?(?:abort|exit|getenv|strtod|strtol|strtoll|"
+               r"atoll|malloc|free)\s*\(|\bEXIT_(?:SUCCESS|FAILURE)\b",
     "cstring": r"\b(?:std::)?(?:memcpy|memset|memmove|strcmp|strlen|"
                r"strncmp)\s*\(",
 }
@@ -172,10 +177,13 @@ MESSAGES = {
 # --------------------------------------------------------------------------
 
 
+HEADER_SUFFIXES = (".h", ".hpp")
+SOURCE_SUFFIXES = (".cc", ".cpp")
+
+
 class Config:
-    def __init__(self, scan_roots, header_only=True):
+    def __init__(self, scan_roots):
         self.scan_roots = scan_roots
-        self.header_only = header_only
 
     @staticmethod
     def for_src():
@@ -186,9 +194,8 @@ class Config:
         return Config(scan_roots=["tools/lint/fixtures/includes"])
 
 
-def iter_headers(root: str, config: Config):
-    suffixes = (".h", ".hpp") if config.header_only else (".h", ".hpp",
-                                                          ".cc", ".cpp")
+def iter_files(root: str, config: Config):
+    suffixes = HEADER_SUFFIXES + SOURCE_SUFFIXES
     for scan_root in config.scan_roots:
         base = os.path.join(root, scan_root)
         for dirpath, _, filenames in os.walk(base):
@@ -204,7 +211,7 @@ def iter_headers(root: str, config: Config):
 # --------------------------------------------------------------------------
 
 
-def scan_header(relpath: str, raw: str) -> List[Finding]:
+def scan_file(relpath: str, raw: str) -> List[Finding]:
     raw_lines = raw.split("\n")
     stripped = strip_comments_and_strings(raw)
 
@@ -227,18 +234,20 @@ def scan_header(relpath: str, raw: str) -> List[Finding]:
             findings.append((relpath, idx, "unused-include",
                              f"<{header}>: {MESSAGES['unused-include']}"))
 
-    # Only the first use of each missing header is reported.
-    for header, pattern in COMPILED_TOKEN_MAP.items():
-        if header in included:
-            continue
-        m = pattern.search(stripped)
-        if m is None:
-            continue
-        line_no = stripped.count("\n", 0, m.start()) + 1
-        findings.append((
-            relpath, line_no, "missing-include",
-            f"'{m.group(0)}' needs <{header}>: "
-            f"{MESSAGES['missing-include']}"))
+    # Headers only (see the module docstring); only the first use of
+    # each missing header is reported.
+    if relpath.endswith(HEADER_SUFFIXES):
+        for header, pattern in COMPILED_TOKEN_MAP.items():
+            if header in included:
+                continue
+            m = pattern.search(stripped)
+            if m is None:
+                continue
+            line_no = stripped.count("\n", 0, m.start()) + 1
+            findings.append((
+                relpath, line_no, "missing-include",
+                f"'{m.group(0)}' needs <{header}>: "
+                f"{MESSAGES['missing-include']}"))
 
     findings.sort(key=lambda f: (f[0], f[1], f[2]))
     return findings
@@ -246,16 +255,16 @@ def scan_header(relpath: str, raw: str) -> List[Finding]:
 
 def run_scan(root: str, config: Config) -> List[Finding]:
     findings: List[Finding] = []
-    for rel, path in iter_headers(root, config):
+    for rel, path in iter_files(root, config):
         with open(path, "r", encoding="utf-8") as f:
-            findings.extend(scan_header(rel, f.read()))
+            findings.extend(scan_file(rel, f.read()))
     return findings
 
 
 def self_test(root: str) -> int:
     config = Config.for_fixtures()
     expected: Set[Tuple[str, int, str]] = set()
-    for rel, path in iter_headers(root, config):
+    for rel, path in iter_files(root, config):
         with open(path, "r", encoding="utf-8") as f:
             for idx, line in enumerate(f, start=1):
                 for m in WANT_RE.finditer(line):
