@@ -48,17 +48,15 @@ Result<double> DsmsCenter::Submit(stream::QuerySubmission submission) {
   // Resubmitting a currently ACTIVE id is a renewal (the query is
   // uninstalled at the period boundary before winners install), but two
   // pending submissions with the same id are ambiguous.
-  for (const auto& p : pending_) {
-    if (p.query_id == submission.query_id) {
-      return Status::AlreadyExists("query id already pending: " +
-                                   std::to_string(submission.query_id));
-    }
+  if (pending_ids_.count(submission.query_id) > 0) {
+    return Status::AlreadyExists("query id already pending: " +
+                                 std::to_string(submission.query_id));
   }
   // Validate and price the plan now, so a plan the auction cannot
   // price is refused here instead of failing every later period (the
   // queue is only cleared by a completed period).
   STREAMBID_ASSIGN_OR_RETURN(
-      const stream::PlanLoadEstimate estimate,
+      stream::PlanLoadEstimate estimate,
       stream::EstimatePlanLoad(*engine_, submission.plan,
                                options_.load_options));
   if (std::all_of(estimate.nodes.begin(), estimate.nodes.end(),
@@ -68,11 +66,14 @@ Result<double> DsmsCenter::Submit(stream::QuerySubmission submission) {
     return Status::InvalidArgument(
         "plan has no billable operators (it is only a source tap)");
   }
-  if (!std::isfinite(estimate.total_load)) {
+  const double load = estimate.total_load;
+  if (!std::isfinite(load)) {
     return Status::InvalidArgument("plan load estimate is not finite");
   }
+  pending_ids_.insert(submission.query_id);
   pending_.push_back(std::move(submission));
-  return estimate.total_load;
+  pending_estimates_.push_back(std::move(estimate));
+  return load;
 }
 
 double DsmsCenter::ExtractTenant(auction::UserId user) {
@@ -89,8 +90,7 @@ Result<PreparedAuction> DsmsCenter::PrepareAuction() {
   if (!pending_.empty()) {
     STREAMBID_ASSIGN_OR_RETURN(
         stream::AuctionBuild build,
-        stream::BuildAuctionInstance(*engine_, pending_,
-                                     options_.load_options));
+        stream::BuildAuctionInstance(pending_, pending_estimates_));
     prepared.build =
         std::make_unique<stream::AuctionBuild>(std::move(build));
     prepared.has_auction = true;
@@ -184,6 +184,8 @@ Result<PeriodReport> DsmsCenter::CompletePeriod(
   report.admitted = static_cast<int>(report.admitted_ids.size());
   STREAMBID_RETURN_IF_ERROR(engine_->CommitTransition());
   pending_.clear();
+  pending_estimates_.clear();
+  pending_ids_.clear();
 
   // --- Execute the period. ---
   engine_->Run(options_.period_length);

@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "cloud/autoscaler.h"
@@ -159,11 +160,14 @@ class DsmsCenter {
   DsmsCenter(const DsmsCenterOptions& options, stream::Engine* engine);
 
   /// The one gate a plan passes: validates the submission, estimates
-  /// its load once, queues it for the next period's auction, and
-  /// returns the estimated total load. Fails fast, changing nothing,
-  /// when the bid is negative or non-finite (kInvalidArgument), the id
-  /// is already pending (kAlreadyExists; resubmitting an active id is a
-  /// renewal), the plan does not validate against the engine
+  /// its load once, queues it with that estimate for the next period's
+  /// auction, and returns the estimated total load. The kept estimate
+  /// is the one PrepareAuction prices (measured loads as of this call),
+  /// so the engine must not run or change between Submit and
+  /// PrepareAuction. Fails fast, changing nothing, when the bid is
+  /// negative or non-finite (kInvalidArgument), the id is already
+  /// pending (kAlreadyExists; resubmitting an active id is a renewal),
+  /// the plan does not validate against the engine
   /// (kInvalidArgument/kNotFound), or the auction could not price it:
   /// every node is a source tap, or the load estimate is not finite
   /// (kInvalidArgument).
@@ -179,9 +183,10 @@ class DsmsCenter {
   Result<PeriodReport> RunPeriod();
 
   /// Builds this period's auction instance and admission request from
-  /// the pending submissions without running anything. The request's
-  /// stream is (options.seed, period), exactly as RunPeriod would use,
-  /// so admitting it through any AdmissionService — including another
+  /// the pending submissions and the load estimates Submit kept, without
+  /// estimating or running anything. The request's stream is
+  /// (options.seed, period), exactly as RunPeriod would use, so
+  /// admitting it through any AdmissionService — including another
   /// thread's — yields the identical allocation. With autoscaling
   /// enabled this also commits the period's provisioning decision
   /// (engine re-provisioned, request capacity set) — call it exactly
@@ -250,6 +255,9 @@ class DsmsCenter {
   service::AdmissionService service_;
 
   std::vector<stream::QuerySubmission> pending_;
+  /// Submit's load estimate of each pending plan, in pending_ order.
+  std::vector<stream::PlanLoadEstimate> pending_estimates_;
+  std::unordered_set<int> pending_ids_;  // Query ids in pending_.
   std::vector<int> active_;  // Engine query ids installed this period.
   BillingLedger ledger_;
   std::vector<PeriodReport> history_;

@@ -3,7 +3,7 @@
 // by every layer that measures waits: the gate's ticket pools record
 // grant latency into it, the telemetry registry aggregates task and
 // drain latencies with it, and parallel accumulators combine via
-// Merge() (mirroring RunningStats::Merge). Cheap enough to update under
+// Merge(). Cheap enough to update under
 // a pool lock on a slow path: one log2, one array increment.
 
 #ifndef STREAMBID_COMMON_HISTOGRAM_H_
@@ -24,8 +24,8 @@ struct LatencyHistogram {
   double sum = 0.0;  ///< Sum of recorded samples, in microseconds.
 
   void Record(double micros);
-  /// Folds another accumulator in (parallel-safe combine, like
-  /// RunningStats::Merge): bucket-wise addition.
+  /// Folds another accumulator in (parallel-safe combine): bucket-wise
+  /// addition.
   void Merge(const LatencyHistogram& other);
   /// Upper bucket edge (in milliseconds) below which fraction `p` of
   /// recorded samples fall; 0 when nothing was recorded. p in [0, 1].

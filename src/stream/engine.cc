@@ -3,7 +3,6 @@
 #include "stream/engine.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "common/check.h"
@@ -23,14 +22,14 @@ struct Engine::Node {
   OperatorPtr op;          // Null for source taps.
   int source_index = -1;   // Valid for source taps.
   SchemaPtr schema;        // Output schema.
+  std::vector<Node*> inputs;                      // By port.
   std::vector<std::pair<Node*, int>> downstream;  // (consumer, port).
+  std::vector<SinkStats*> sinks;  // Of the queries whose output this is.
   // (port, tuple). ProcessPass drains it in place and clears it with its
   // capacity kept, so a steady-state tick does not reallocate it.
   std::vector<std::pair<int, Tuple>> inbox;
-  std::set<int> subscribers;  // Query ids whose plans include this node.
-  std::set<int> sink_of;      // Query ids whose output node is this.
+  int subscribers = 0;        // Installed queries whose plans include it.
   double run_cost = 0.0;      // Cost consumed during the current Run().
-  double total_cost = 0.0;
   int64_t processed = 0;
 };
 
@@ -67,9 +66,6 @@ const StreamSource* Engine::source(const std::string& name) const {
 
 Result<OperatorPtr> Engine::MakeOperator(
     const OpSpec& spec, const std::vector<SchemaPtr>& inputs) const {
-  auto cost = [&spec](double fallback) {
-    return spec.cost_override > 0.0 ? spec.cost_override : fallback;
-  };
   switch (spec.kind) {
     case OpKind::kSource:
       return Status::Internal("source specs have no operator");
@@ -80,7 +76,7 @@ Result<OperatorPtr> Engine::MakeOperator(
       }
       return OperatorPtr(new SelectOperator(inputs[0], spec.field,
                                             spec.compare_op, spec.operand,
-                                            cost(DefaultCosts::kSelect)));
+                                            spec.cost_per_tuple()));
     }
     case OpKind::kProject: {
       for (const std::string& f : spec.fields) {
@@ -89,7 +85,7 @@ Result<OperatorPtr> Engine::MakeOperator(
         }
       }
       return OperatorPtr(new ProjectOperator(inputs[0], spec.fields,
-                                             cost(DefaultCosts::kProject)));
+                                             spec.cost_per_tuple()));
     }
     case OpKind::kMap: {
       if (!inputs[0]->HasField(spec.field)) {
@@ -98,7 +94,7 @@ Result<OperatorPtr> Engine::MakeOperator(
       return OperatorPtr(new MapOperator(inputs[0], spec.field, spec.map_fn,
                                          spec.map_operand,
                                          spec.output_field,
-                                         cost(DefaultCosts::kMap)));
+                                         spec.cost_per_tuple()));
     }
     case OpKind::kAggregate: {
       if (spec.agg_fn != AggFn::kCount || !spec.field.empty()) {
@@ -114,7 +110,7 @@ Result<OperatorPtr> Engine::MakeOperator(
       }
       return OperatorPtr(new AggregateOperator(
           inputs[0], spec.agg_fn, spec.field, spec.group_field, spec.window,
-          cost(DefaultCosts::kAggregate)));
+          spec.cost_per_tuple()));
     }
     case OpKind::kJoin: {
       if (!inputs[0]->HasField(spec.left_key)) {
@@ -128,15 +124,14 @@ Result<OperatorPtr> Engine::MakeOperator(
       return OperatorPtr(new JoinOperator(inputs[0], inputs[1],
                                           spec.left_key, spec.right_key,
                                           spec.join_window,
-                                          cost(DefaultCosts::kJoin)));
+                                          spec.cost_per_tuple()));
     }
     case OpKind::kUnion: {
       if (!(*inputs[0] == *inputs[1])) {
         return Status::InvalidArgument("union: input schemas differ");
       }
       return OperatorPtr(
-          new UnionOperator(inputs[0], inputs[1],
-                            cost(DefaultCosts::kUnion)));
+          new UnionOperator(inputs[0], inputs[1], spec.cost_per_tuple()));
     }
     case OpKind::kTopK: {
       if (!inputs[0]->HasField(spec.field)) {
@@ -145,7 +140,7 @@ Result<OperatorPtr> Engine::MakeOperator(
       }
       return OperatorPtr(new TopKOperator(inputs[0], spec.top_k,
                                           spec.field, spec.window.size,
-                                          cost(DefaultCosts::kTopK)));
+                                          spec.cost_per_tuple()));
     }
     case OpKind::kDistinct: {
       if (!inputs[0]->HasField(spec.field)) {
@@ -154,58 +149,62 @@ Result<OperatorPtr> Engine::MakeOperator(
       }
       return OperatorPtr(new DistinctOperator(inputs[0], spec.field,
                                               spec.window.size,
-                                              cost(DefaultCosts::kDistinct)));
+                                              spec.cost_per_tuple()));
     }
   }
   return Status::Internal("unknown operator kind");
 }
 
-Result<Engine::Node*> Engine::Instantiate(int query_id,
-                                          const QueryPlan& plan, int idx) {
+void Engine::Instantiate(const QueryPlan& plan, int idx,
+                         std::vector<std::string>* sigs,
+                         std::vector<Node*>* made, Query* query) {
+  Node*& node = (*made)[static_cast<size_t>(idx)];
+  if (node != nullptr) return;
   const QueryPlan::Node& pn = plan.nodes[static_cast<size_t>(idx)];
-  const std::string sig = plan.NodeSignature(idx);
-
-  // Instantiate (or revisit) children first so subscribers propagate
-  // through the whole subtree.
-  std::vector<Node*> children;
-  std::vector<SchemaPtr> child_schemas;
+  std::vector<Node*> inputs;
   for (int in : pn.inputs) {
-    STREAMBID_ASSIGN_OR_RETURN(Node * child,
-                               Instantiate(query_id, plan, in));
-    children.push_back(child);
-    child_schemas.push_back(child->schema);
+    Instantiate(plan, in, sigs, made, query);
+    inputs.push_back((*made)[static_cast<size_t>(in)]);
   }
-
+  std::string& sig = (*sigs)[static_cast<size_t>(idx)];
   auto it = nodes_.find(sig);
   if (it != nodes_.end()) {
-    it->second->subscribers.insert(query_id);
-    return it->second.get();
-  }
-
-  auto node = std::make_unique<Node>();
-  node->signature = sig;
-  if (pn.spec.kind == OpKind::kSource) {
-    auto src = source_index_.find(pn.spec.source_name);
-    if (src == source_index_.end()) {
-      return Status::NotFound("unknown source: " + pn.spec.source_name);
-    }
-    node->source_index = src->second;
-    node->schema = sources_[static_cast<size_t>(src->second)]->schema();
+    node = it->second.get();
+    // Equal signatures mean equal inputs (OpSpec::Signature); a node
+    // shared over other inputs would outlive them.
+    STREAMBID_CHECK(node->inputs == inputs);
   } else {
-    STREAMBID_ASSIGN_OR_RETURN(OperatorPtr op,
-                               MakeOperator(pn.spec, child_schemas));
-    node->schema = op->output_schema();
-    node->op = std::move(op);
+    auto fresh = std::make_unique<Node>();
+    std::vector<SchemaPtr> input_schemas;
+    for (Node* in : inputs) input_schemas.push_back(in->schema);
+    fresh->inputs = std::move(inputs);
+    if (pn.spec.kind == OpKind::kSource) {
+      // DeriveOutputSchema resolved the name.
+      fresh->source_index = source_index_.at(pn.spec.source_name);
+      fresh->schema =
+          sources_[static_cast<size_t>(fresh->source_index)]->schema();
+    } else {
+      // DeriveOutputSchema built this operator over the same input
+      // schemas, so value() cannot fail.
+      fresh->op = MakeOperator(pn.spec, input_schemas).value();
+      fresh->schema = fresh->op->output_schema();
+    }
+    for (size_t port = 0; port < fresh->inputs.size(); ++port) {
+      fresh->inputs[port]->downstream.push_back(
+          {fresh.get(), static_cast<int>(port)});
+    }
+    fresh->signature = std::move(sig);
+    node = fresh.get();
+    topo_.push_back(node);
+    nodes_.emplace(node->signature, std::move(fresh));
   }
-  node->subscribers.insert(query_id);
-
-  Node* raw = node.get();
-  for (size_t port = 0; port < children.size(); ++port) {
-    children[port]->downstream.push_back({raw, static_cast<int>(port)});
+  // Two plan nodes with one signature (a source named twice) are one
+  // node, and the query counts once toward its sharing degree.
+  if (std::find(query->nodes.begin(), query->nodes.end(), node) ==
+      query->nodes.end()) {
+    ++node->subscribers;
+    query->nodes.push_back(node);
   }
-  nodes_.emplace(sig, std::move(node));
-  topo_.push_back(raw);
-  return raw;
 }
 
 Result<SchemaPtr> Engine::DeriveOutputSchema(const QueryPlan& plan) const {
@@ -234,7 +233,7 @@ Result<SchemaPtr> Engine::DeriveOutputSchema(const QueryPlan& plan) const {
 }
 
 Status Engine::InstallQuery(int query_id, const QueryPlan& plan) {
-  if (sinks_.count(query_id) > 0) {
+  if (queries_.count(query_id) > 0) {
     return Status::AlreadyExists("query id already installed: " +
                                  std::to_string(query_id));
   }
@@ -242,54 +241,52 @@ Status Engine::InstallQuery(int query_id, const QueryPlan& plan) {
   // state.
   STREAMBID_RETURN_IF_ERROR(DeriveOutputSchema(plan).status());
 
-  STREAMBID_ASSIGN_OR_RETURN(
-      Node * out, Instantiate(query_id, plan, plan.output_node));
-  out->sink_of.insert(query_id);
-  sinks_[query_id] = SinkStats{};
+  Query& query = queries_[query_id];
+  query.nodes.reserve(plan.nodes.size());
+  std::vector<std::string> sigs = plan.NodeSignatures();
+  std::vector<Node*> made(plan.nodes.size(), nullptr);
+  Instantiate(plan, plan.output_node, &sigs, &made, &query);
+  query.nodes.back()->sinks.push_back(&query.sink);  // The output node.
   return Status::Ok();
 }
 
 Status Engine::UninstallQuery(int query_id) {
-  if (sinks_.erase(query_id) == 0) {
+  auto it = queries_.find(query_id);
+  if (it == queries_.end()) {
     return Status::NotFound("query not installed: " +
                             std::to_string(query_id));
   }
-  for (Node* node : topo_) {
-    node->subscribers.erase(query_id);
-    node->sink_of.erase(query_id);
-  }
-  // Destroy orphaned nodes (reverse topological order so downstream
-  // edges are unhooked before their targets die).
-  for (auto it = topo_.rbegin(); it != topo_.rend();) {
-    Node* node = *it;
-    if (!node->subscribers.empty()) {
-      ++it;
-      continue;
-    }
-    // Unhook from upstream.
-    for (Node* up : topo_) {
-      auto& ds = up->downstream;
+  const Query& query = it->second;
+  std::vector<SinkStats*>& sinks = query.nodes.back()->sinks;
+  sinks.erase(std::find(sinks.begin(), sinks.end(), &query.sink));
+  // Every node follows its inputs in query.nodes, so walking it backwards
+  // destroys an orphan's consumers before the orphan itself.
+  for (auto n = query.nodes.rbegin(); n != query.nodes.rend(); ++n) {
+    Node* node = *n;
+    if (--node->subscribers > 0) continue;
+    for (Node* in : node->inputs) {
+      auto& ds = in->downstream;
       ds.erase(std::remove_if(ds.begin(), ds.end(),
                               [node](const std::pair<Node*, int>& e) {
                                 return e.first == node;
                               }),
                ds.end());
     }
-    const std::string sig = node->signature;
-    it = decltype(it)(topo_.erase(std::next(it).base()));
-    nodes_.erase(sig);
+    topo_.erase(std::find(topo_.begin(), topo_.end(), node));
+    nodes_.erase(nodes_.find(node->signature));
   }
+  queries_.erase(it);
   return Status::Ok();
 }
 
 bool Engine::IsInstalled(int query_id) const {
-  return sinks_.count(query_id) > 0;
+  return queries_.count(query_id) > 0;
 }
 
 std::vector<int> Engine::InstalledQueries() const {
   std::vector<int> out;
-  out.reserve(sinks_.size());
-  for (const auto& [id, stats] : sinks_) out.push_back(id);
+  out.reserve(queries_.size());
+  for (const auto& [id, query] : queries_) out.push_back(id);
   return out;
 }
 
@@ -333,14 +330,15 @@ void Engine::Deliver(Node* node, const Tuple& tuple) {
   }
   const size_t history =
       static_cast<size_t>(std::max(options_.sink_history, 0));
-  for (int qid : node->sink_of) {
-    SinkStats& sink = sinks_[qid];
-    ++sink.tuples;
+  for (SinkStats* sink : node->sinks) {
+    ++sink->tuples;
     if (history == 0) continue;
     // Full: drop the oldest by shifting the handles down one slot; the
     // vector keeps its capacity, so this never reallocates.
-    if (sink.recent.size() == history) sink.recent.erase(sink.recent.begin());
-    sink.recent.push_back(tuple);
+    if (sink->recent.size() == history) {
+      sink->recent.erase(sink->recent.begin());
+    }
+    sink->recent.push_back(tuple);
   }
 }
 
@@ -366,7 +364,6 @@ double Engine::ProcessPass(VirtualTime now) {
       node->op->RecordInput(1);
       node->op->RecordOutput(static_cast<int64_t>(outputs_.size()));
       node->run_cost += node->op->cost_per_tuple();
-      node->total_cost += node->op->cost_per_tuple();
       pass_cost += node->op->cost_per_tuple();
       ++node->processed;
       for (const Tuple& out : outputs_) Deliver(node, out);
@@ -441,8 +438,8 @@ void Engine::Run(VirtualTime duration) {
 }
 
 const SinkStats* Engine::sink(int query_id) const {
-  auto it = sinks_.find(query_id);
-  return it == sinks_.end() ? nullptr : &it->second;
+  auto it = queries_.find(query_id);
+  return it == queries_.end() ? nullptr : &it->second.sink;
 }
 
 std::vector<OperatorLoadInfo> Engine::OperatorLoads() const {
@@ -464,7 +461,7 @@ std::vector<OperatorLoadInfo> Engine::OperatorLoads() const {
     info.measured_load = last_run_duration_ > 0.0
                              ? node->run_cost / last_run_duration_
                              : 0.0;
-    info.sharing_degree = static_cast<int>(node->subscribers.size());
+    info.sharing_degree = node->subscribers;
     out.push_back(std::move(info));
   }
   return out;
@@ -489,7 +486,7 @@ double Engine::LastRunUtilization() const {
 int Engine::num_shared_nodes() const {
   int n = 0;
   for (const Node* node : topo_) {
-    if (node->subscribers.size() > 1) ++n;
+    if (node->subscribers > 1) ++n;
   }
   return n;
 }

@@ -9,6 +9,13 @@
 // subscription-period boundary, upstream connection points hold new
 // tuples, in-flight tuples are drained, the query network is modified,
 // and held tuples are replayed before new arrivals.
+//
+// Bookkeeping is per query: an installed query owns its sink and the
+// list of its distinct runtime nodes, and a node keeps a count of the
+// queries subscribed to it, its input nodes, and pointers to the sinks
+// it feeds. Installing costs one pass over the plan; uninstalling visits
+// only the query's own nodes and, for each node it orphans, that node's
+// input edges and one scan of the topological order to unlink it.
 
 #ifndef STREAMBID_STREAM_ENGINE_H_
 #define STREAMBID_STREAM_ENGINE_H_
@@ -98,11 +105,12 @@ class Engine {
   /// Instantiates `plan` for `query_id`, sharing identical subtrees
   /// with already-installed queries. Errors: kAlreadyExists (id in
   /// use), kInvalidArgument / kNotFound (bad plan or unknown source or
-  /// field).
+  /// field). A failed install leaves the engine unchanged.
   Status InstallQuery(int query_id, const QueryPlan& plan);
 
   /// Removes the query; operators no longer referenced by any query are
-  /// destroyed (their state is discarded).
+  /// destroyed (their state is discarded). Costs O(plan) plus, per
+  /// destroyed node, its input edges and one scan of the runtime nodes.
   Status UninstallQuery(int query_id);
 
   bool IsInstalled(int query_id) const;
@@ -174,9 +182,25 @@ class Engine {
  private:
   struct Node;
 
-  /// Recursively instantiates plan node `idx` for `query_id`; returns
-  /// the runtime node (shared or fresh).
-  Result<Node*> Instantiate(int query_id, const QueryPlan& plan, int idx);
+  /// An installed query: its sink, and its distinct runtime nodes in
+  /// instantiation order (the output node last). A node appears once even
+  /// when the plan names it twice.
+  struct Query {
+    SinkStats sink;
+    std::vector<Node*> nodes;
+  };
+
+  /// Instantiates plan node `idx` for `query` after its inputs, visiting
+  /// each plan node once (`made` memoises its runtime node). Shares every
+  /// node whose signature in `sigs` is installed and creates the rest in
+  /// post-order, which keeps topo_ topological; a created node takes its
+  /// signature out of `sigs`. Cannot fail once DeriveOutputSchema has
+  /// accepted `plan`: equal signatures mean equal specs over equal inputs
+  /// (OpSpec::Signature), so a shared node has the plan's inputs
+  /// (checked) and the schema the plan expects.
+  void Instantiate(const QueryPlan& plan, int idx,
+                   std::vector<std::string>* sigs, std::vector<Node*>* made,
+                   Query* query);
 
   /// Builds the concrete operator for `spec` (validating fields).
   Result<OperatorPtr> MakeOperator(const OpSpec& spec,
@@ -198,7 +222,7 @@ class Engine {
 
   std::map<std::string, std::unique_ptr<Node>> nodes_;  // By signature.
   std::vector<Node*> topo_;  // Creation order == topological order.
-  std::map<int, SinkStats> sinks_;
+  std::map<int, Query> queries_;  // By query id.
 
   bool in_transition_ = false;
   std::vector<std::vector<Tuple>> held_;  // Per source, during transition.

@@ -8,34 +8,6 @@
 #include "common/check.h"
 
 namespace streambid::stream {
-namespace {
-
-double DefaultCostFor(const OpSpec& spec) {
-  if (spec.cost_override > 0.0) return spec.cost_override;
-  switch (spec.kind) {
-    case OpKind::kSource:
-      return 0.0;
-    case OpKind::kSelect:
-      return DefaultCosts::kSelect;
-    case OpKind::kProject:
-      return DefaultCosts::kProject;
-    case OpKind::kMap:
-      return DefaultCosts::kMap;
-    case OpKind::kAggregate:
-      return DefaultCosts::kAggregate;
-    case OpKind::kJoin:
-      return DefaultCosts::kJoin;
-    case OpKind::kUnion:
-      return DefaultCosts::kUnion;
-    case OpKind::kTopK:
-      return DefaultCosts::kTopK;
-    case OpKind::kDistinct:
-      return DefaultCosts::kDistinct;
-  }
-  return 0.0;
-}
-
-}  // namespace
 
 Result<PlanLoadEstimate> EstimatePlanLoad(
     const Engine& engine, const QueryPlan& plan,
@@ -43,13 +15,13 @@ Result<PlanLoadEstimate> EstimatePlanLoad(
   // Structural and field-level validation via schema derivation.
   STREAMBID_RETURN_IF_ERROR(engine.DeriveOutputSchema(plan).status());
 
+  std::vector<std::string> sigs = plan.NodeSignatures();
   PlanLoadEstimate est;
   est.nodes.resize(plan.nodes.size());
   for (size_t i = 0; i < plan.nodes.size(); ++i) {
     const QueryPlan::Node& pn = plan.nodes[i];
     NodeLoadEstimate& ne = est.nodes[i];
-    ne.signature = plan.NodeSignature(static_cast<int>(i));
-    ne.name = pn.spec.Signature();
+    ne.signature = std::move(sigs[i]);
     ne.is_source = pn.spec.kind == OpKind::kSource;
 
     double in_rate = 0.0;
@@ -106,7 +78,7 @@ Result<PlanLoadEstimate> EstimatePlanLoad(
       }
     }
     ne.input_rate = in_rate;
-    ne.load = DefaultCostFor(pn.spec) * in_rate;
+    ne.load = pn.spec.cost_per_tuple() * in_rate;
 
     if (options.prefer_measured) {
       auto measured = engine.MeasuredLoad(ne.signature);
@@ -121,23 +93,35 @@ Result<PlanLoadEstimate> EstimatePlanLoad(
 Result<AuctionBuild> BuildAuctionInstance(
     const Engine& engine, const std::vector<QuerySubmission>& submissions,
     const LoadEstimateOptions& options) {
+  std::vector<PlanLoadEstimate> estimates;
+  estimates.reserve(submissions.size());
+  for (const QuerySubmission& sub : submissions) {
+    STREAMBID_ASSIGN_OR_RETURN(PlanLoadEstimate est,
+                               EstimatePlanLoad(engine, sub.plan, options));
+    estimates.push_back(std::move(est));
+  }
+  return BuildAuctionInstance(submissions, estimates);
+}
+
+Result<AuctionBuild> BuildAuctionInstance(
+    const std::vector<QuerySubmission>& submissions,
+    const std::vector<PlanLoadEstimate>& estimates) {
+  STREAMBID_CHECK_EQ(submissions.size(), estimates.size());
   std::vector<auction::OperatorSpec> ops;
   std::vector<auction::QuerySpec> queries;
   std::vector<int> query_ids;
   std::vector<std::string> op_signatures;
   std::map<std::string, auction::OperatorId> op_index;
 
-  for (const QuerySubmission& sub : submissions) {
-    STREAMBID_ASSIGN_OR_RETURN(
-        PlanLoadEstimate est,
-        EstimatePlanLoad(engine, sub.plan, options));
+  for (size_t i = 0; i < submissions.size(); ++i) {
+    const QuerySubmission& sub = submissions[i];
     auction::QuerySpec q;
     q.user = sub.user;
     q.bid = sub.bid;
     // Collect DISTINCT non-source nodes of this plan (a plan may
     // reference the same subtree twice, e.g. self-joins).
     std::vector<auction::OperatorId> seen;
-    for (const NodeLoadEstimate& ne : est.nodes) {
+    for (const NodeLoadEstimate& ne : estimates[i].nodes) {
       if (ne.is_source) continue;
       auto it = op_index.find(ne.signature);
       auction::OperatorId op_id;

@@ -38,8 +38,7 @@ struct LoadEstimateOptions {
 
 /// Analytic estimate for one plan node.
 struct NodeLoadEstimate {
-  std::string signature;
-  std::string name;
+  std::string signature;  ///< Subtree signature (the sharing key).
   bool is_source = false;
   double input_rate = 0.0;   ///< Tuples/second entering the node.
   double output_rate = 0.0;  ///< Tuples/second leaving the node.
@@ -84,9 +83,18 @@ struct AuctionBuild {
 /// rule), loads come from the analytic model or engine measurement, and
 /// source taps are excluded (stream ingestion is provider overhead, as
 /// in the paper's Example 1 where operators begin at the first box).
+/// Estimates every plan, then builds as the overload below does.
 Result<AuctionBuild> BuildAuctionInstance(
     const Engine& engine, const std::vector<QuerySubmission>& submissions,
     const LoadEstimateOptions& options);
+
+/// Builds the auction view from estimates already taken: `estimates[i]`
+/// is EstimatePlanLoad of `submissions[i].plan` (the sizes must match,
+/// checked). Fails when a plan has no billable operator or the instance
+/// does not validate.
+Result<AuctionBuild> BuildAuctionInstance(
+    const std::vector<QuerySubmission>& submissions,
+    const std::vector<PlanLoadEstimate>& estimates);
 
 }  // namespace streambid::stream
 

@@ -35,9 +35,6 @@ class OperatorBase {
   /// Schema of emitted tuples.
   virtual SchemaPtr output_schema() const = 0;
 
-  /// Number of input ports (1, or 2 for join/union).
-  virtual int num_inputs() const { return 1; }
-
   /// Processes one tuple arriving on `port`, appending outputs.
   virtual void Process(int port, const Tuple& tuple,
                        std::vector<Tuple>* out) = 0;

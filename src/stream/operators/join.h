@@ -28,7 +28,6 @@ class JoinOperator : public OperatorBase {
                double cost_per_tuple = DefaultCosts::kJoin);
 
   SchemaPtr output_schema() const override { return output_schema_; }
-  int num_inputs() const override { return 2; }
 
   void Process(int port, const Tuple& tuple,
                std::vector<Tuple>* out) override;

@@ -21,7 +21,6 @@ class UnionOperator : public OperatorBase {
   }
 
   SchemaPtr output_schema() const override { return schema_; }
-  int num_inputs() const override { return 2; }
 
   void Process(int port, const Tuple& tuple,
                std::vector<Tuple>* out) override {

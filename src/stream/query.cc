@@ -2,14 +2,58 @@
 
 #include "stream/query.h"
 
+#include <charconv>
 #include <cmath>
-
-#include "common/string_util.h"
+#include <cstdlib>
+#include <string_view>
 
 namespace streambid::stream {
 namespace {
 
 bool PositiveFinite(double x) { return std::isfinite(x) && x > 0.0; }
+
+// `text`, a signature's spelling of `x`, when it reads back as `x`, else
+// the shortest spelling that does. Two specs share a runtime node and an
+// auction operator exactly when their signatures match, so no two
+// doubles may share a spelling; keeping every exact `text` keeps the
+// signatures, and the sharing, of plans whose doubles were already
+// spelled exactly.
+std::string Exact(std::string text, double x) {
+  if (std::strtod(text.c_str(), nullptr) == x) return text;
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), x).ptr);
+}
+
+std::string Exact(double x) { return Exact(std::to_string(x), x); }
+
+// `name` with a backslash before each character that separates the parts
+// of a signature, the backslash included, so no name or string operand
+// can spell a delimiter: a map writing "a" from field "b=c" and one
+// writing "a=b" from field "c" must not both sign "map(a=b=c*2.000000)".
+// Names without such characters keep their spelling.
+std::string Escape(const std::string& name) {
+  constexpr std::string_view kDelimiters = "\\()<>;,=!+-*/";
+  if (name.find_first_of(kDelimiters) == std::string::npos) return name;
+  std::string out;
+  for (char c : name) {
+    if (kDelimiters.find(c) != std::string_view::npos) out += '\\';
+    out += c;
+  }
+  return out;
+}
+
+// Value::ToKey of a select operand, with a double spelled exactly and a
+// string escaped.
+std::string OperandKey(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kDouble:
+      return "d:" + Exact(v.ToString(), v.AsDouble());
+    case ValueType::kString:
+      return "s:" + Escape(v.AsString());
+    default:
+      return v.ToKey();
+  }
+}
 
 // The numeric parameters the operator constructors CHECK, plus finite
 // costs and windows, so a hostile plan gets a typed error instead of
@@ -19,6 +63,13 @@ Status ValidateParams(const OpSpec& spec) {
     return Status::InvalidArgument("negative or non-finite cost override");
   }
   switch (spec.kind) {
+    case OpKind::kProject:
+      // Else "project()" would sign two specs: this one and the one
+      // keeping a single field named "".
+      if (spec.fields.empty()) {
+        return Status::InvalidArgument("project: no fields");
+      }
+      break;
     case OpKind::kMap:
       if (spec.map_fn == MapFn::kDiv && spec.map_operand == 0.0) {
         return Status::InvalidArgument("map: division by zero");
@@ -68,58 +119,62 @@ Status ValidateParams(const OpSpec& spec) {
 
 }  // namespace
 
-const char* OpKindName(OpKind kind) {
+double OpSpec::cost_per_tuple() const {
+  if (cost_override > 0.0) return cost_override;
   switch (kind) {
     case OpKind::kSource:
-      return "source";
+      return 0.0;
     case OpKind::kSelect:
-      return "select";
+      return DefaultCosts::kSelect;
     case OpKind::kProject:
-      return "project";
+      return DefaultCosts::kProject;
     case OpKind::kMap:
-      return "map";
+      return DefaultCosts::kMap;
     case OpKind::kAggregate:
-      return "agg";
+      return DefaultCosts::kAggregate;
     case OpKind::kJoin:
-      return "join";
+      return DefaultCosts::kJoin;
     case OpKind::kUnion:
-      return "union";
+      return DefaultCosts::kUnion;
     case OpKind::kTopK:
-      return "topk";
+      return DefaultCosts::kTopK;
     case OpKind::kDistinct:
-      return "distinct";
+      return DefaultCosts::kDistinct;
   }
-  return "?";
+  return 0.0;
 }
 
 std::string OpSpec::Signature() const {
   switch (kind) {
     case OpKind::kSource:
-      return "source(" + source_name + ")";
+      return "source(" + Escape(source_name) + ")";
     case OpKind::kSelect:
-      return "select(" + field + CompareOpToken(compare_op) +
-             operand.ToKey() + ")";
-    case OpKind::kProject:
-      return "project(" + Join(fields, ",") + ")";
+      return "select(" + Escape(field) + CompareOpToken(compare_op) +
+             OperandKey(operand) + ")";
+    case OpKind::kProject: {
+      std::string sig = "project(";
+      for (size_t i = 0; i < fields.size(); ++i) {
+        sig += (i == 0 ? "" : ",") + Escape(fields[i]);
+      }
+      return sig + ")";
+    }
     case OpKind::kMap:
-      return "map(" + output_field + "=" + field + MapFnToken(map_fn) +
-             std::to_string(map_operand) + ")";
+      return "map(" + Escape(output_field) + "=" + Escape(field) +
+             MapFnToken(map_fn) + Exact(map_operand) + ")";
     case OpKind::kAggregate:
-      return std::string("agg(") + AggFnName(agg_fn) + "(" + field + ")" +
-             (group_field.empty() ? "" : ",by=" + group_field) +
-             ",w=" + std::to_string(window.size) + "," +
-             std::to_string(window.slide) + ")";
+      return std::string("agg(") + AggFnName(agg_fn) + "(" + Escape(field) +
+             ")" + (group_field.empty() ? "" : ",by=" + Escape(group_field)) +
+             ",w=" + Exact(window.size) + "," + Exact(window.slide) + ")";
     case OpKind::kJoin:
-      return "join(" + left_key + "==" + right_key +
-             ",w=" + std::to_string(join_window) + ")";
+      return "join(" + Escape(left_key) + "==" + Escape(right_key) +
+             ",w=" + Exact(join_window) + ")";
     case OpKind::kUnion:
       return "union()";
     case OpKind::kTopK:
-      return "topk(" + std::to_string(top_k) + "," + field +
-             ",w=" + std::to_string(window.size) + ")";
+      return "topk(" + std::to_string(top_k) + "," + Escape(field) +
+             ",w=" + Exact(window.size) + ")";
     case OpKind::kDistinct:
-      return "distinct(" + field + ",w=" + std::to_string(window.size) +
-             ")";
+      return "distinct(" + Escape(field) + ",w=" + Exact(window.size) + ")";
   }
   return "?";
 }
@@ -178,18 +233,23 @@ Status QueryPlan::Validate() const {
   return Status::Ok();
 }
 
-std::string QueryPlan::NodeSignature(int node) const {
-  const Node& n = nodes[static_cast<size_t>(node)];
-  std::string sig = n.spec.Signature();
-  if (!n.inputs.empty()) {
-    sig += "<";
+std::vector<std::string> QueryPlan::NodeSignatures() const {
+  std::vector<std::string> sigs(nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const Node& n = nodes[i];
+    std::string& sig = sigs[i];
+    sig = n.spec.Signature();
+    if (n.inputs.empty()) continue;
+    size_t size = sig.size() + n.inputs.size() + 1;
+    for (int in : n.inputs) size += sigs[static_cast<size_t>(in)].size();
+    sig.reserve(size);
     for (size_t k = 0; k < n.inputs.size(); ++k) {
-      if (k > 0) sig += ";";
-      sig += NodeSignature(n.inputs[k]);
+      sig += k == 0 ? '<' : ';';
+      sig += sigs[static_cast<size_t>(n.inputs[k])];
     }
-    sig += ">";
+    sig += '>';
   }
-  return sig;
+  return sigs;
 }
 
 }  // namespace streambid::stream

@@ -31,9 +31,6 @@ enum class OpKind {
   kDistinct,
 };
 
-/// Stable name for `kind`.
-const char* OpKindName(OpKind kind);
-
 /// Parameters of one plan node (a tagged union; only the fields of the
 /// active kind are meaningful).
 struct OpSpec {
@@ -89,9 +86,18 @@ struct OpSpec {
     }
   }
 
+  /// Per-tuple cost the engine charges and the load estimate prices:
+  /// cost_override when positive, else the kind's DefaultCosts entry (0
+  /// for a source).
+  double cost_per_tuple() const;
+
   /// Canonical parameter signature (excludes inputs), e.g.
-  /// "select(price>100)". Two nodes with equal signatures and equal
-  /// input subtrees are shared.
+  /// "select(price>d:100)". Two nodes with equal signatures and equal
+  /// input subtrees are shared, so the signature tells apart every two
+  /// specs that build different operators (the cost override aside):
+  /// every double is spelled so that it reads back exactly, and names
+  /// and string operands escape the signature's delimiters with a
+  /// backslash.
   std::string Signature() const;
 };
 
@@ -119,12 +125,15 @@ struct QueryPlan {
   /// engine cannot run or price: a negative or non-finite cost override,
   /// a window that is not positive and finite (or an aggregate slide
   /// longer than its window or shorter than size /
-  /// kMaxAggregateWindowsPerTuple), topk k <= 0, and map division by
-  /// zero.
+  /// kMaxAggregateWindowsPerTuple), topk k <= 0, map division by zero,
+  /// and a project with no fields.
   Status Validate() const;
 
-  /// Recursive subtree signature of `node` (the engine's sharing key).
-  std::string NodeSignature(int node) const;
+  /// Subtree signature of every node, in node order: the node's
+  /// OpSpec::Signature followed by its inputs' signatures in angle
+  /// brackets. This is the engine's sharing key. Built bottom-up in one
+  /// pass; requires inputs that reference earlier nodes (Validate).
+  std::vector<std::string> NodeSignatures() const;
 };
 
 }  // namespace streambid::stream

@@ -132,6 +132,27 @@ TEST_F(DsmsCenterTest, SubmitValidation) {
             StatusCode::kAlreadyExists);
 }
 
+TEST_F(DsmsCenterTest, PendingIdsFreeOnRefusalAndAtPeriodEnd) {
+  DsmsCenterOptions options;
+  options.period_length = 5.0;
+  DsmsCenter center(options, &engine_);
+  // A refused submission does not hold its id.
+  QueryBuilder b;
+  QuerySubmission tap;
+  tap.query_id = 7;
+  tap.bid = 10.0;
+  tap.plan = b.Build(b.Source("quotes"));
+  EXPECT_FALSE(center.Submit(tap).ok());
+  ASSERT_TRUE(center.Submit(MakeSubmission(7, 1, 10.0, 110.0)).ok());
+  EXPECT_EQ(center.Submit(MakeSubmission(7, 2, 20.0, 120.0)).status().code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(center.pending_submissions(), 1);
+  // A completed period frees every pending id.
+  ASSERT_TRUE(center.RunPeriod().ok());
+  ASSERT_TRUE(center.Submit(MakeSubmission(7, 2, 20.0, 120.0)).ok());
+  EXPECT_EQ(center.pending_submissions(), 1);
+}
+
 TEST_F(DsmsCenterTest, SubmitRejectsNonFiniteBid) {
   DsmsCenterOptions options;
   DsmsCenter center(options, &engine_);
@@ -279,6 +300,53 @@ TEST_F(DsmsCenterTest, SubmitReturnsTheLoadEstimate) {
   const auto load = center.Submit(std::move(sub));
   ASSERT_TRUE(load.ok());
   EXPECT_DOUBLE_EQ(*load, estimate->total_load);
+}
+
+TEST_F(DsmsCenterTest, PrepareAuctionPricesTheSubmitEstimates) {
+  DsmsCenterOptions options;
+  options.mechanism = "cat";
+  options.period_length = 5.0;
+  DsmsCenter center(options, &engine_);
+  // Period 0 installs and runs winners, so the next estimates read
+  // measured loads for their selects.
+  ASSERT_TRUE(center.Submit(MakeSubmission(1, 1, 50.0, 110.0)).ok());
+  ASSERT_TRUE(center.Submit(MakeSubmission(2, 2, 40.0, 120.0)).ok());
+  const auto period0 = center.RunPeriod();
+  ASSERT_TRUE(period0.ok());
+  ASSERT_GT(period0->admitted, 0);
+
+  const std::vector<QuerySubmission> subs = {
+      MakeSubmission(1, 1, 50.0, 110.0),  // Renewal.
+      MakeSubmission(3, 3, 30.0, 110.0),  // Shares query 1's select.
+      MakeSubmission(4, 4, 20.0, 125.0),  // A new select.
+      MakeSubmission(5, 1, 45.0, 120.0)};
+  for (const QuerySubmission& sub : subs) {
+    ASSERT_TRUE(center.Submit(sub).ok());
+  }
+  const auto expected =
+      stream::BuildAuctionInstance(engine_, subs, options.load_options);
+  ASSERT_TRUE(expected.ok());
+  const auto prepared = center.PrepareAuction();
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_TRUE(prepared->has_auction);
+
+  const stream::AuctionBuild& build = *prepared->build;
+  EXPECT_EQ(build.query_ids, expected->query_ids);
+  EXPECT_EQ(build.op_signatures, expected->op_signatures);
+  const auction::AuctionInstance& got = build.instance;
+  const auction::AuctionInstance& want = expected->instance;
+  ASSERT_EQ(got.num_operators(), want.num_operators());
+  for (auction::OperatorId j = 0; j < got.num_operators(); ++j) {
+    EXPECT_EQ(got.operator_load(j), want.operator_load(j)) << "op " << j;
+  }
+  ASSERT_EQ(got.num_queries(), want.num_queries());
+  for (auction::QueryId i = 0; i < got.num_queries(); ++i) {
+    EXPECT_EQ(got.user(i), want.user(i)) << "query " << i;
+    EXPECT_EQ(got.bid(i), want.bid(i)) << "query " << i;
+    EXPECT_EQ(got.query_operators(i), want.query_operators(i))
+        << "query " << i;
+  }
+  EXPECT_EQ(got.Summary(), want.Summary());
 }
 
 // --- Tenant extract/adopt: the migration surface the cluster rebalancer

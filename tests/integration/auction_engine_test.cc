@@ -113,7 +113,7 @@ TEST_F(AuctionEngineTest, WinnersExecuteAndLoadsConverge) {
       stream::EstimatePlanLoad(engine_, subs[0].plan, {});
   ASSERT_TRUE(re_estimate.ok());
   auto measured = engine_.MeasuredLoad(
-      subs[0].plan.NodeSignature(subs[0].plan.output_node));
+      subs[0].plan.NodeSignatures()[subs[0].plan.output_node]);
   ASSERT_TRUE(measured.ok());
   EXPECT_DOUBLE_EQ(re_estimate->nodes[1].load, *measured);
   // The analytic model (cost 0.01 x 100/s = 1) should be close to the

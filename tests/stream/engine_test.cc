@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "stream/query_builder.h"
 
 namespace streambid::stream {
@@ -50,8 +57,36 @@ class EngineTest : public ::testing::Test {
     return b.Build(sel);
   }
 
+  QueryPlan MapPlan(double factor) {
+    QueryBuilder b;
+    const int src = b.Source("quotes");
+    return b.Build(b.Map(src, "price", MapFn::kMul, factor, "scaled"));
+  }
+
   Engine engine_;
 };
+
+/// Every observable per-node row: what OperatorLoads() reports.
+std::vector<std::string> Rows(const Engine& engine) {
+  std::vector<std::string> rows;
+  for (const OperatorLoadInfo& info : engine.OperatorLoads()) {
+    rows.push_back(info.signature + " | " + info.name + " | " +
+                   std::to_string(info.sharing_degree) + " | " +
+                   std::to_string(info.tuples_processed) + " | " +
+                   std::to_string(info.measured_load));
+  }
+  return rows;
+}
+
+/// (signature, sharing degree) rows, sorted.
+std::vector<std::pair<std::string, int>> SharingRows(const Engine& engine) {
+  std::vector<std::pair<std::string, int>> rows;
+  for (const OperatorLoadInfo& info : engine.OperatorLoads()) {
+    rows.emplace_back(info.signature, info.sharing_degree);
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
 
 TEST_F(EngineTest, RegisterSourceRejectsDuplicates) {
   EXPECT_FALSE(engine_
@@ -158,6 +193,194 @@ TEST_F(EngineTest, UninstallKeepsSharedNodesAlive) {
   EXPECT_EQ(engine_.UninstallQuery(2).code(), StatusCode::kNotFound);
 }
 
+TEST_F(EngineTest, SignaturesKeepDistinctDoublesApart) {
+  // Six significant digits spell both thresholds "100"; they must still
+  // be two select nodes.
+  ASSERT_TRUE(engine_.InstallQuery(1, SelectPlan(100.0001)).ok());
+  ASSERT_TRUE(engine_.InstallQuery(2, SelectPlan(100.0004)).ok());
+  ASSERT_TRUE(engine_.InstallQuery(3, SelectPlan(100.0004)).ok());
+  EXPECT_EQ(engine_.num_runtime_nodes(), 3);  // One source, two selects.
+  EXPECT_NE(SelectPlan(100.0001).NodeSignatures().back(),
+            SelectPlan(100.0004).NodeSignatures().back());
+  // Exact spellings are kept as they were.
+  EXPECT_EQ(SelectPlan(100.0).NodeSignatures().back(),
+            "select(price>d:100)<source(quotes)>");
+
+  // Six decimals spell both factors "0.000000"; each sink must see its
+  // own factor applied.
+  ASSERT_TRUE(engine_.InstallQuery(4, MapPlan(1e-7)).ok());
+  ASSERT_TRUE(engine_.InstallQuery(5, MapPlan(2e-7)).ok());
+  engine_.Run(3.0);
+  for (const auto& [qid, factor] :
+       std::vector<std::pair<int, double>>{{4, 1e-7}, {5, 2e-7}}) {
+    const SinkStats* sink = engine_.sink(qid);
+    ASSERT_NE(sink, nullptr);
+    ASSERT_FALSE(sink->recent.empty());
+    for (const Tuple& t : sink->recent) {
+      EXPECT_DOUBLE_EQ(t.field("scaled").AsDouble(),
+                       t.field("price").AsDouble() * factor)
+          << "query " << qid;
+    }
+  }
+}
+
+TEST_F(EngineTest, FailedInstallLeavesTheEngineUnchanged) {
+  ASSERT_TRUE(engine_.InstallQuery(1, MapPlan(2.0)).ok());
+  ASSERT_TRUE(engine_.InstallQuery(2, SelectPlan(5.0)).ok());
+  engine_.Run(2.0);
+  const int nodes = engine_.num_runtime_nodes();
+  const std::vector<std::string> rows = Rows(engine_);
+
+  // Fails at the aggregate, above a select that would be new.
+  QueryBuilder b;
+  const int sel = b.Select(b.Source("quotes"), "price", CompareOp::kGt,
+                           Value(3.0));
+  EXPECT_EQ(engine_
+                .InstallQuery(3, b.Build(b.Aggregate(sel, AggFn::kAvg, "nope",
+                                                     "", {5.0, 5.0})))
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(engine_.IsInstalled(3));
+  EXPECT_EQ(engine_.num_runtime_nodes(), nodes);
+  EXPECT_EQ(Rows(engine_), rows);
+
+  // The engine still runs and still shares: query 3 joins query 2's
+  // select and sees what query 2 sees from now on.
+  ASSERT_TRUE(engine_.InstallQuery(3, SelectPlan(5.0)).ok());
+  EXPECT_EQ(engine_.num_runtime_nodes(), nodes);
+  const int64_t before = engine_.sink(2)->tuples;
+  engine_.Run(2.0);
+  EXPECT_GT(engine_.sink(3)->tuples, 0);
+  EXPECT_EQ(engine_.sink(3)->tuples, engine_.sink(2)->tuples - before);
+}
+
+TEST_F(EngineTest, NamesThatSpellDelimitersDoNotShare) {
+  // Unescaped, both selects below sign as
+  // "select(price>d:0)<map(w>d:0)<map(price>d:0)<map(w=price*1.000000)<
+  // source(quotes)>>", so query 2 would share query 1's select while its
+  // own map is a different node.
+  QueryBuilder b;
+  const int m1 = b.Map(b.Source("quotes"), "price", MapFn::kMul, 1.0,
+                       "w>d:0)<map(price>d:0)<map(w");
+  const QueryPlan q1 =
+      b.Build(b.Select(m1, "price", CompareOp::kGt, Value(0.0)));
+  const int m2 = b.Map(b.Source("quotes"), "price", MapFn::kMul, 1.0,
+                       "price>d:0)<map(w");
+  const QueryPlan q2 = b.Build(
+      b.Select(m2, "price>d:0)<map(w", CompareOp::kGt, Value(0.0)));
+  EXPECT_NE(q1.NodeSignatures().back(), q2.NodeSignatures().back());
+  ASSERT_TRUE(engine_.InstallQuery(1, q1).ok());
+  ASSERT_TRUE(engine_.InstallQuery(2, q2).ok());
+  EXPECT_EQ(engine_.num_runtime_nodes(), 5);  // Source, 2 maps, 2 selects.
+  EXPECT_EQ(engine_.num_shared_nodes(), 1);   // The source.
+  engine_.Run(2.0);
+  EXPECT_GT(engine_.sink(1)->tuples, 0);
+  EXPECT_EQ(engine_.sink(1)->tuples, engine_.sink(2)->tuples);
+  // Had the selects been shared, this order would free query 1's map
+  // while query 2 still held the select that lists it as input.
+  ASSERT_TRUE(engine_.UninstallQuery(1).ok());
+  ASSERT_TRUE(engine_.UninstallQuery(2).ok());
+  EXPECT_EQ(engine_.num_runtime_nodes(), 0);
+
+  // map(a = [b=c] * 2) and map([a=b] = c * 2) over one input, each
+  // under a select on its own output field.
+  const int c = b.Map(b.Source("quotes"), "price", MapFn::kMul, 1.0, "c");
+  const int bc = b.Map(c, "price", MapFn::kMul, 1.0, "b=c");
+  const int a = b.Map(bc, "b=c", MapFn::kMul, 2.0, "a");
+  const QueryPlan q3 = b.Build(b.Select(a, "a", CompareOp::kGt, Value(0.0)));
+  const int c2 = b.Map(b.Source("quotes"), "price", MapFn::kMul, 1.0, "c");
+  const int bc2 = b.Map(c2, "price", MapFn::kMul, 1.0, "b=c");
+  const int ab = b.Map(bc2, "c", MapFn::kMul, 2.0, "a=b");
+  const QueryPlan q4 =
+      b.Build(b.Select(ab, "a=b", CompareOp::kGt, Value(0.0)));
+  ASSERT_TRUE(engine_.InstallQuery(3, q3).ok());
+  ASSERT_TRUE(engine_.InstallQuery(4, q4).ok());
+  EXPECT_EQ(engine_.num_runtime_nodes(), 7);
+  engine_.Run(2.0);
+  EXPECT_GT(engine_.sink(4)->tuples, 0);
+  for (const Tuple& t : engine_.sink(4)->recent) {
+    EXPECT_DOUBLE_EQ(t.field("a=b").AsDouble(), 2.0 * t.field("c").AsDouble());
+  }
+}
+
+TEST_F(EngineTest, RandomInstallsMatchAFreshEngine) {
+  std::vector<QueryPlan> catalogue;
+  catalogue.push_back(SelectPlan(5.0));
+  catalogue.push_back(SelectPlan(7.0));
+  catalogue.push_back(MapPlan(2.0));
+  {
+    QueryBuilder b;
+    const int sel = b.Select(b.Source("quotes"), "price", CompareOp::kGt,
+                             Value(5.0));
+    catalogue.push_back(
+        b.Build(b.Aggregate(sel, AggFn::kAvg, "price", "symbol", {4.0, 2.0})));
+  }
+  {  // Names one source twice: one runtime node, counted once.
+    QueryBuilder b;
+    const int left = b.Source("quotes");
+    const int right = b.Source("quotes");
+    catalogue.push_back(b.Build(b.Join(left, right, "symbol", "symbol", 2.0)));
+  }
+  {  // A union of one subtree with itself.
+    QueryBuilder b;
+    const int sel = b.Select(b.Source("quotes"), "price", CompareOp::kGt,
+                             Value(7.0));
+    catalogue.push_back(b.Build(b.Union(sel, sel)));
+  }
+  {
+    QueryBuilder b;
+    const int m = b.Map(b.Source("quotes"), "price", MapFn::kMul, 2.0,
+                        "scaled");
+    catalogue.push_back(b.Build(b.Project(m, {"symbol", "scaled"})));
+  }
+
+  auto fresh_engine = [this] {
+    auto engine = std::make_unique<Engine>(engine_.options());
+    EXPECT_TRUE(engine
+                    ->RegisterSource(std::make_unique<CounterSource>(
+                        "quotes", /*rate=*/10.0))
+                    .ok());
+    return engine;
+  };
+  {  // A query counts once per node, even where its plan names it twice.
+    const auto engine = fresh_engine();
+    ASSERT_TRUE(engine->InstallQuery(1, catalogue[4]).ok());
+    ASSERT_TRUE(engine->InstallQuery(2, catalogue[5]).ok());
+    ASSERT_EQ(engine->num_runtime_nodes(), 4);
+    for (const OperatorLoadInfo& info : engine->OperatorLoads()) {
+      EXPECT_EQ(info.sharing_degree, info.is_source ? 2 : 1)
+          << info.signature;
+    }
+  }
+
+  Rng rng(20260);
+  std::map<int, size_t> installed;  // Query id -> catalogue index.
+  for (int step = 0; step < 200; ++step) {
+    const int qid = static_cast<int>(rng.NextBounded(12));
+    if (installed.count(qid) > 0) {
+      ASSERT_TRUE(engine_.UninstallQuery(qid).ok());
+      installed.erase(qid);
+    } else {
+      const size_t plan = rng.NextBounded(catalogue.size());
+      ASSERT_TRUE(engine_.InstallQuery(qid, catalogue[plan]).ok());
+      installed[qid] = plan;
+    }
+    if (step % 7 == 0) engine_.Run(1.0);
+
+    const auto fresh = fresh_engine();
+    for (const auto& [id, plan] : installed) {
+      ASSERT_TRUE(fresh->InstallQuery(id, catalogue[plan]).ok());
+    }
+    ASSERT_EQ(SharingRows(engine_), SharingRows(*fresh)) << "step " << step;
+    EXPECT_EQ(engine_.num_shared_nodes(), fresh->num_shared_nodes());
+  }
+  for (const auto& [id, plan] : installed) {
+    ASSERT_TRUE(engine_.UninstallQuery(id).ok());
+  }
+  EXPECT_EQ(engine_.num_runtime_nodes(), 0);
+  EXPECT_TRUE(engine_.OperatorLoads().empty());
+}
+
 TEST_F(EngineTest, RunWithoutQueriesIsHarmless) {
   engine_.Run(5.0);
   EXPECT_DOUBLE_EQ(engine_.now(), 5.0);
@@ -187,7 +410,8 @@ TEST_F(EngineTest, MeasuredLoadLookupBySignature) {
   EXPECT_EQ(engine_.MeasuredLoad("nope").status().code(),
             StatusCode::kNotFound);
   engine_.Run(10.0);
-  auto load = engine_.MeasuredLoad(plan.NodeSignature(plan.output_node));
+  auto load =
+      engine_.MeasuredLoad(plan.NodeSignatures()[plan.output_node]);
   ASSERT_TRUE(load.ok());
   EXPECT_GT(*load, 0.0);
 }

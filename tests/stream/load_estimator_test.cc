@@ -93,7 +93,8 @@ TEST_F(LoadEstimatorTest, MeasuredLoadPreferredWhenInstalled) {
   prefer.prefer_measured = true;
   auto est = EstimatePlanLoad(engine_, plan, prefer);
   ASSERT_TRUE(est.ok());
-  auto measured = engine_.MeasuredLoad(plan.NodeSignature(plan.output_node));
+  auto measured =
+      engine_.MeasuredLoad(plan.NodeSignatures()[plan.output_node]);
   ASSERT_TRUE(measured.ok());
   EXPECT_DOUBLE_EQ(est->nodes[1].load, *measured);
 

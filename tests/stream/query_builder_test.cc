@@ -84,15 +84,15 @@ TEST(QueryPlanTest, SignatureStableAndStructural) {
   sel = b2.Select(s, "price", CompareOp::kGt, Value(100.0));
   const QueryPlan p2 = b2.Build(sel);
 
-  EXPECT_EQ(p1.NodeSignature(p1.output_node),
-            p2.NodeSignature(p2.output_node));
+  EXPECT_EQ(p1.NodeSignatures()[p1.output_node],
+            p2.NodeSignatures()[p2.output_node]);
 
   QueryBuilder b3;
   s = b3.Source("quotes");
   sel = b3.Select(s, "price", CompareOp::kGt, Value(200.0));  // Differs.
   const QueryPlan p3 = b3.Build(sel);
-  EXPECT_NE(p1.NodeSignature(p1.output_node),
-            p3.NodeSignature(p3.output_node));
+  EXPECT_NE(p1.NodeSignatures()[p1.output_node],
+            p3.NodeSignatures()[p3.output_node]);
 }
 
 TEST(QueryPlanTest, ValidateCatchesBadArity) {
@@ -197,6 +197,45 @@ TEST(OpSpecTest, SignaturesDistinguishKinds) {
   agg.field = "x";
   EXPECT_NE(select.Signature(), agg.Signature());
   EXPECT_NE(select.Signature().find("select"), std::string::npos);
+}
+
+TEST(OpSpecTest, SignaturesEscapeDelimitersInNames) {
+  auto map = [](const std::string& out, const std::string& in) {
+    OpSpec spec;
+    spec.kind = OpKind::kMap;
+    spec.output_field = out;
+    spec.field = in;
+    spec.map_fn = MapFn::kMul;
+    spec.map_operand = 2.0;
+    return spec.Signature();
+  };
+  EXPECT_EQ(map("a", "b"), "map(a=b*2.000000)");  // Kept as it was.
+  EXPECT_EQ(map("a=b", "c"), "map(a\\=b=c*2.000000)");
+  EXPECT_EQ(map("a", "b=c"), "map(a=b\\=c*2.000000)");
+  EXPECT_EQ(map("a\\", "b"), "map(a\\\\=b*2.000000)");
+
+  OpSpec select;
+  select.kind = OpKind::kSelect;
+  select.field = "symbol";
+  select.compare_op = CompareOp::kEq;
+  select.operand = Value("IBM)");
+  EXPECT_EQ(select.Signature(), "select(symbol==s:IBM\\))");
+  select.operand = Value(int64_t{-3});
+  EXPECT_EQ(select.Signature(), "select(symbol==i:-3)");
+
+  OpSpec project;
+  project.kind = OpKind::kProject;
+  project.fields = {"a,b"};
+  const std::string one = project.Signature();
+  project.fields = {"a", "b"};
+  EXPECT_EQ(project.Signature(), "project(a,b)");
+  EXPECT_NE(one, project.Signature());
+
+  // With no fields a project would sign as the one keeping field "".
+  QueryBuilder b;
+  EXPECT_EQ(b.Build(b.Project(b.Source("quotes"), {})).Validate().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(b.Build(b.Project(b.Source("quotes"), {""})).Validate().ok());
 }
 
 }  // namespace
