@@ -74,10 +74,12 @@ Result<int> ClusterCenter::Submit(stream::QuerySubmission submission) {
   status.pending_load += load;
   ++status.pending_count;
   // The rebalancer's signal source: where this tenant lives and how
-  // much demand it generated this period.
-  TenantRecord& record = tenants_[user];
-  record.home = s;
-  record.period_load += load;
+  // much demand it generated this period. Only the rebalancer reads it.
+  if (options_.rebalance.enabled) {
+    TenantRecord& record = tenants_[user];
+    record.home = s;
+    record.period_load += load;
+  }
   return s;
 }
 

@@ -176,10 +176,10 @@ class ClusterCenter {
   /// Routes the submission to a shard and queues it there for the next
   /// period. Returns the shard index. The shard's DsmsCenter::Submit
   /// validates and prices the plan; its load estimate feeds the
-  /// router's pending view and the tenant's rebalancer signal, and a
-  /// refused submission changes neither. Routing happens before
-  /// admission: a submission rejected by its shard's auction is not
-  /// re-routed.
+  /// router's pending view and, when rebalancing is enabled, the
+  /// tenant's rebalancer signal; a refused submission changes neither.
+  /// Routing happens before admission: a submission rejected by its
+  /// shard's auction is not re-routed.
   Result<int> Submit(stream::QuerySubmission submission);
 
   /// Moves a drained gate batch into the shard queues, in batch order —
@@ -258,7 +258,8 @@ class ClusterCenter {
   /// empty.
   void RebalanceAfterPeriod();
 
-  /// Submit-time view of one tenant, the rebalancer's signal source.
+  /// Submit-time view of one tenant, the rebalancer's signal source;
+  /// kept only while rebalancing is enabled.
   struct TenantRecord {
     int home = 0;             ///< Shard the last submission routed to.
     double period_load = 0.0; ///< Accumulating over the open period.

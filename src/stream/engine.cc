@@ -22,6 +22,7 @@ struct Engine::Node {
   OperatorPtr op;          // Null for source taps.
   int source_index = -1;   // Valid for source taps.
   SchemaPtr schema;        // Output schema.
+  double cost = 0.0;       // OpSpec::cost_per_tuple(); 0 for source taps.
   std::vector<Node*> inputs;                      // By port.
   std::vector<std::pair<Node*, int>> downstream;  // (consumer, port).
   std::vector<SinkStats*> sinks;  // Of the queries whose output this is.
@@ -75,8 +76,7 @@ Result<OperatorPtr> Engine::MakeOperator(
                                        spec.field);
       }
       return OperatorPtr(new SelectOperator(inputs[0], spec.field,
-                                            spec.compare_op, spec.operand,
-                                            spec.cost_per_tuple()));
+                                            spec.compare_op, spec.operand));
     }
     case OpKind::kProject: {
       for (const std::string& f : spec.fields) {
@@ -84,8 +84,7 @@ Result<OperatorPtr> Engine::MakeOperator(
           return Status::InvalidArgument("project: unknown field " + f);
         }
       }
-      return OperatorPtr(new ProjectOperator(inputs[0], spec.fields,
-                                             spec.cost_per_tuple()));
+      return OperatorPtr(new ProjectOperator(inputs[0], spec.fields));
     }
     case OpKind::kMap: {
       if (!inputs[0]->HasField(spec.field)) {
@@ -93,8 +92,7 @@ Result<OperatorPtr> Engine::MakeOperator(
       }
       return OperatorPtr(new MapOperator(inputs[0], spec.field, spec.map_fn,
                                          spec.map_operand,
-                                         spec.output_field,
-                                         spec.cost_per_tuple()));
+                                         spec.output_field));
     }
     case OpKind::kAggregate: {
       if (spec.agg_fn != AggFn::kCount || !spec.field.empty()) {
@@ -109,8 +107,7 @@ Result<OperatorPtr> Engine::MakeOperator(
                                        spec.group_field);
       }
       return OperatorPtr(new AggregateOperator(
-          inputs[0], spec.agg_fn, spec.field, spec.group_field, spec.window,
-          spec.cost_per_tuple()));
+          inputs[0], spec.agg_fn, spec.field, spec.group_field, spec.window));
     }
     case OpKind::kJoin: {
       if (!inputs[0]->HasField(spec.left_key)) {
@@ -123,15 +120,13 @@ Result<OperatorPtr> Engine::MakeOperator(
       }
       return OperatorPtr(new JoinOperator(inputs[0], inputs[1],
                                           spec.left_key, spec.right_key,
-                                          spec.join_window,
-                                          spec.cost_per_tuple()));
+                                          spec.join_window));
     }
     case OpKind::kUnion: {
       if (!(*inputs[0] == *inputs[1])) {
         return Status::InvalidArgument("union: input schemas differ");
       }
-      return OperatorPtr(
-          new UnionOperator(inputs[0], inputs[1], spec.cost_per_tuple()));
+      return OperatorPtr(new UnionOperator(inputs[0], inputs[1]));
     }
     case OpKind::kTopK: {
       if (!inputs[0]->HasField(spec.field)) {
@@ -139,8 +134,7 @@ Result<OperatorPtr> Engine::MakeOperator(
                                        spec.field);
       }
       return OperatorPtr(new TopKOperator(inputs[0], spec.top_k,
-                                          spec.field, spec.window.size,
-                                          spec.cost_per_tuple()));
+                                          spec.field, spec.window.size));
     }
     case OpKind::kDistinct: {
       if (!inputs[0]->HasField(spec.field)) {
@@ -148,22 +142,21 @@ Result<OperatorPtr> Engine::MakeOperator(
                                        spec.field);
       }
       return OperatorPtr(new DistinctOperator(inputs[0], spec.field,
-                                              spec.window.size,
-                                              spec.cost_per_tuple()));
+                                              spec.window.size));
     }
   }
   return Status::Internal("unknown operator kind");
 }
 
-void Engine::Instantiate(const QueryPlan& plan, int idx,
-                         std::vector<std::string>* sigs,
-                         std::vector<Node*>* made, Query* query) {
+Status Engine::Instantiate(const QueryPlan& plan, int idx,
+                           std::vector<std::string>* sigs,
+                           std::vector<Node*>* made, Query* query) {
   Node*& node = (*made)[static_cast<size_t>(idx)];
-  if (node != nullptr) return;
+  if (node != nullptr) return Status::Ok();
   const QueryPlan::Node& pn = plan.nodes[static_cast<size_t>(idx)];
   std::vector<Node*> inputs;
   for (int in : pn.inputs) {
-    Instantiate(plan, in, sigs, made, query);
+    STREAMBID_RETURN_IF_ERROR(Instantiate(plan, in, sigs, made, query));
     inputs.push_back((*made)[static_cast<size_t>(in)]);
   }
   std::string& sig = (*sigs)[static_cast<size_t>(idx)];
@@ -175,20 +168,22 @@ void Engine::Instantiate(const QueryPlan& plan, int idx,
     STREAMBID_CHECK(node->inputs == inputs);
   } else {
     auto fresh = std::make_unique<Node>();
-    std::vector<SchemaPtr> input_schemas;
-    for (Node* in : inputs) input_schemas.push_back(in->schema);
-    fresh->inputs = std::move(inputs);
     if (pn.spec.kind == OpKind::kSource) {
-      // DeriveOutputSchema resolved the name.
-      fresh->source_index = source_index_.at(pn.spec.source_name);
-      fresh->schema =
-          sources_[static_cast<size_t>(fresh->source_index)]->schema();
+      auto src = source_index_.find(pn.spec.source_name);
+      if (src == source_index_.end()) {
+        return Status::NotFound("unknown source: " + pn.spec.source_name);
+      }
+      fresh->source_index = src->second;
+      fresh->schema = sources_[static_cast<size_t>(src->second)]->schema();
     } else {
-      // DeriveOutputSchema built this operator over the same input
-      // schemas, so value() cannot fail.
-      fresh->op = MakeOperator(pn.spec, input_schemas).value();
+      std::vector<SchemaPtr> input_schemas;
+      for (Node* in : inputs) input_schemas.push_back(in->schema);
+      STREAMBID_ASSIGN_OR_RETURN(fresh->op,
+                                 MakeOperator(pn.spec, input_schemas));
       fresh->schema = fresh->op->output_schema();
     }
+    fresh->cost = pn.spec.cost_per_tuple();
+    fresh->inputs = std::move(inputs);
     for (size_t port = 0; port < fresh->inputs.size(); ++port) {
       fresh->inputs[port]->downstream.push_back(
           {fresh.get(), static_cast<int>(port)});
@@ -205,6 +200,7 @@ void Engine::Instantiate(const QueryPlan& plan, int idx,
     ++node->subscribers;
     query->nodes.push_back(node);
   }
+  return Status::Ok();
 }
 
 Result<SchemaPtr> Engine::DeriveOutputSchema(const QueryPlan& plan) const {
@@ -237,15 +233,20 @@ Status Engine::InstallQuery(int query_id, const QueryPlan& plan) {
     return Status::AlreadyExists("query id already installed: " +
                                  std::to_string(query_id));
   }
-  // Validate fully (structure, fields, sources) before mutating shared
-  // state.
-  STREAMBID_RETURN_IF_ERROR(DeriveOutputSchema(plan).status());
+  STREAMBID_RETURN_IF_ERROR(plan.Validate());
 
   Query& query = queries_[query_id];
   query.nodes.reserve(plan.nodes.size());
   std::vector<std::string> sigs = plan.NodeSignatures();
   std::vector<Node*> made(plan.nodes.size(), nullptr);
-  Instantiate(plan, plan.output_node, &sigs, &made, &query);
+  const Status status =
+      Instantiate(plan, plan.output_node, &sigs, &made, &query);
+  if (!status.ok()) {
+    // Undo the partial install: the sink is not attached yet.
+    Release(query);
+    queries_.erase(query_id);
+    return status;
+  }
   query.nodes.back()->sinks.push_back(&query.sink);  // The output node.
   return Status::Ok();
 }
@@ -259,6 +260,12 @@ Status Engine::UninstallQuery(int query_id) {
   const Query& query = it->second;
   std::vector<SinkStats*>& sinks = query.nodes.back()->sinks;
   sinks.erase(std::find(sinks.begin(), sinks.end(), &query.sink));
+  Release(query);
+  queries_.erase(it);
+  return Status::Ok();
+}
+
+void Engine::Release(const Query& query) {
   // Every node follows its inputs in query.nodes, so walking it backwards
   // destroys an orphan's consumers before the orphan itself.
   for (auto n = query.nodes.rbegin(); n != query.nodes.rend(); ++n) {
@@ -275,8 +282,6 @@ Status Engine::UninstallQuery(int query_id) {
     topo_.erase(std::find(topo_.begin(), topo_.end(), node));
     nodes_.erase(nodes_.find(node->signature));
   }
-  queries_.erase(it);
-  return Status::Ok();
 }
 
 bool Engine::IsInstalled(int query_id) const {
@@ -361,20 +366,15 @@ double Engine::ProcessPass(VirtualTime now) {
     for (const auto& [port, tuple] : node->inbox) {
       outputs_.clear();
       node->op->Process(port, tuple, &outputs_);
-      node->op->RecordInput(1);
-      node->op->RecordOutput(static_cast<int64_t>(outputs_.size()));
-      node->run_cost += node->op->cost_per_tuple();
-      pass_cost += node->op->cost_per_tuple();
+      node->run_cost += node->cost;
+      pass_cost += node->cost;
       ++node->processed;
       for (const Tuple& out : outputs_) Deliver(node, out);
     }
     node->inbox.clear();
     outputs_.clear();
     node->op->AdvanceTime(now, &outputs_);
-    if (!outputs_.empty()) {
-      node->op->RecordOutput(static_cast<int64_t>(outputs_.size()));
-      for (const Tuple& out : outputs_) Deliver(node, out);
-    }
+    for (const Tuple& out : outputs_) Deliver(node, out);
   }
   outputs_.clear();
   return pass_cost;
@@ -449,14 +449,7 @@ std::vector<OperatorLoadInfo> Engine::OperatorLoads() const {
     OperatorLoadInfo info;
     info.signature = node->signature;
     info.is_source = node->op == nullptr;
-    info.name = info.is_source
-                    ? "source(" +
-                          sources_[static_cast<size_t>(node->source_index)]
-                              ->name() +
-                          ")"
-                    : node->op->name();
-    info.cost_per_tuple =
-        info.is_source ? 0.0 : node->op->cost_per_tuple();
+    info.cost_per_tuple = node->cost;
     info.tuples_processed = node->processed;
     info.measured_load = last_run_duration_ > 0.0
                              ? node->run_cost / last_run_duration_

@@ -12,10 +12,12 @@
 //
 // Bookkeeping is per query: an installed query owns its sink and the
 // list of its distinct runtime nodes, and a node keeps a count of the
-// queries subscribed to it, its input nodes, and pointers to the sinks
-// it feeds. Installing costs one pass over the plan; uninstalling visits
-// only the query's own nodes and, for each node it orphans, that node's
-// input edges and one scan of the topological order to unlink it.
+// queries subscribed to it, its input nodes, pointers to the sinks it
+// feeds, and its plan spec's per-tuple cost. Installing costs one pass
+// over the plan and builds an operator only for each node it creates;
+// uninstalling visits only the query's own nodes and, for each node it
+// orphans, that node's input edges and one scan of the topological
+// order to unlink it.
 
 #ifndef STREAMBID_STREAM_ENGINE_H_
 #define STREAMBID_STREAM_ENGINE_H_
@@ -55,9 +57,8 @@ struct EngineOptions {
 /// Snapshot of one runtime operator's state and measured load.
 struct OperatorLoadInfo {
   std::string signature;   ///< Sharing key (spec + input subtree).
-  std::string name;        ///< Human-readable operator descriptor.
   bool is_source = false;
-  double cost_per_tuple = 0.0;
+  double cost_per_tuple = 0.0;  ///< OpSpec::cost_per_tuple (0 for sources).
   int64_t tuples_processed = 0;
   /// Measured load over the last Run(): cost consumed / run duration
   /// (capacity units).
@@ -102,10 +103,13 @@ class Engine {
   /// installing anything.
   Result<SchemaPtr> DeriveOutputSchema(const QueryPlan& plan) const;
 
-  /// Instantiates `plan` for `query_id`, sharing identical subtrees
-  /// with already-installed queries. Errors: kAlreadyExists (id in
-  /// use), kInvalidArgument / kNotFound (bad plan or unknown source or
-  /// field). A failed install leaves the engine unchanged.
+  /// Runs QueryPlan::Validate, then instantiates `plan` for `query_id`,
+  /// sharing identical subtrees with already-installed queries. Errors:
+  /// kAlreadyExists (id in use), kInvalidArgument (bad structure, an
+  /// unknown field, or union inputs whose schemas differ), kNotFound
+  /// (unknown source). On an error found while instantiating, the nodes
+  /// the install created are destroyed and the shared ones released
+  /// again, so a failed install leaves the engine unchanged.
   Status InstallQuery(int query_id, const QueryPlan& plan);
 
   /// Removes the query; operators no longer referenced by any query are
@@ -194,13 +198,20 @@ class Engine {
   /// each plan node once (`made` memoises its runtime node). Shares every
   /// node whose signature in `sigs` is installed and creates the rest in
   /// post-order, which keeps topo_ topological; a created node takes its
-  /// signature out of `sigs`. Cannot fail once DeriveOutputSchema has
-  /// accepted `plan`: equal signatures mean equal specs over equal inputs
-  /// (OpSpec::Signature), so a shared node has the plan's inputs
-  /// (checked) and the schema the plan expects.
-  void Instantiate(const QueryPlan& plan, int idx,
-                   std::vector<std::string>* sigs, std::vector<Node*>* made,
-                   Query* query);
+  /// signature out of `sigs`. Equal signatures mean equal specs over
+  /// equal inputs (OpSpec::Signature), so a shared node has the plan's
+  /// inputs (checked) and the schema the plan expects. Fails with
+  /// kNotFound on an unknown source and with MakeOperator's error on a
+  /// bad field; the nodes made before the failure stay in query->nodes
+  /// for Release to undo.
+  Status Instantiate(const QueryPlan& plan, int idx,
+                     std::vector<std::string>* sigs,
+                     std::vector<Node*>* made, Query* query);
+
+  /// Drops `query`'s subscription to each of its nodes, destroying every
+  /// node no other query subscribes to. Leaves sinks alone: the caller
+  /// detaches the query's sink first, if it was attached.
+  void Release(const Query& query);
 
   /// Builds the concrete operator for `spec` (validating fields).
   Result<OperatorPtr> MakeOperator(const OpSpec& spec,

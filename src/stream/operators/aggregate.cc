@@ -41,17 +41,10 @@ double AggregateOperator::Accumulator::Final(AggFn fn) const {
 }
 
 AggregateOperator::AggregateOperator(const SchemaPtr& input_schema,
-                                     AggFn fn, std::string agg_field,
-                                     std::string group_field,
-                                     WindowSpec window,
-                                     double cost_per_tuple)
-    : OperatorBase(std::string("agg(") + AggFnName(fn) + "(" + agg_field +
-                       ")" +
-                       (group_field.empty() ? "" : " by " + group_field) +
-                       " w=" + std::to_string(window.size) + "/" +
-                       std::to_string(window.slide) + ")",
-                   cost_per_tuple),
-      fn_(fn),
+                                     AggFn fn, const std::string& agg_field,
+                                     const std::string& group_field,
+                                     WindowSpec window)
+    : fn_(fn),
       agg_field_index_(fn == AggFn::kCount && agg_field.empty()
                            ? -1
                            : input_schema->FieldIndex(agg_field)),
@@ -122,7 +115,5 @@ void AggregateOperator::AdvanceTime(VirtualTime now,
     it = open_.erase(it);
   }
 }
-
-void AggregateOperator::Reset() { open_.clear(); }
 
 }  // namespace streambid::stream

@@ -33,9 +33,8 @@ struct WindowSpec {
 class AggregateOperator : public OperatorBase {
  public:
   AggregateOperator(const SchemaPtr& input_schema, AggFn fn,
-                    std::string agg_field, std::string group_field,
-                    WindowSpec window,
-                    double cost_per_tuple = DefaultCosts::kAggregate);
+                    const std::string& agg_field,
+                    const std::string& group_field, WindowSpec window);
 
   SchemaPtr output_schema() const override { return output_schema_; }
 
@@ -43,8 +42,6 @@ class AggregateOperator : public OperatorBase {
                std::vector<Tuple>* out) override;
 
   void AdvanceTime(VirtualTime now, std::vector<Tuple>* out) override;
-
-  void Reset() override;
 
  private:
   struct Accumulator {

@@ -7,13 +7,9 @@
 namespace streambid::stream {
 
 DistinctOperator::DistinctOperator(SchemaPtr input_schema,
-                                   std::string key_field,
-                                   VirtualTime window,
-                                   double cost_per_tuple)
-    : OperatorBase("distinct(" + key_field +
-                       " w=" + std::to_string(window) + ")",
-                   cost_per_tuple),
-      schema_(std::move(input_schema)),
+                                   const std::string& key_field,
+                                   VirtualTime window)
+    : schema_(std::move(input_schema)),
       key_index_(schema_->FieldIndex(key_field)),
       window_(window) {
   STREAMBID_CHECK_GE(key_index_, 0);
@@ -42,7 +38,5 @@ void DistinctOperator::AdvanceTime(VirtualTime now,
                                        : std::next(it);
   }
 }
-
-void DistinctOperator::Reset() { last_seen_.clear(); }
 
 }  // namespace streambid::stream

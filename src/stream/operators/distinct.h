@@ -17,9 +17,8 @@ namespace streambid::stream {
 /// distinct(field within window seconds).
 class DistinctOperator : public OperatorBase {
  public:
-  DistinctOperator(SchemaPtr input_schema, std::string key_field,
-                   VirtualTime window,
-                   double cost_per_tuple = DefaultCosts::kDistinct);
+  DistinctOperator(SchemaPtr input_schema, const std::string& key_field,
+                   VirtualTime window);
 
   SchemaPtr output_schema() const override { return schema_; }
 
@@ -27,8 +26,6 @@ class DistinctOperator : public OperatorBase {
                std::vector<Tuple>* out) override;
 
   void AdvanceTime(VirtualTime now, std::vector<Tuple>* out) override;
-
-  void Reset() override;
 
   /// Keys currently suppressed (tests/monitoring).
   size_t TrackedKeys() const { return last_seen_.size(); }

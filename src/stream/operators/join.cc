@@ -12,11 +12,8 @@ JoinOperator::JoinOperator(const SchemaPtr& left_schema,
                            const SchemaPtr& right_schema,
                            const std::string& left_key,
                            const std::string& right_key,
-                           VirtualTime window, double cost_per_tuple)
-    : OperatorBase("join(" + left_key + "==" + right_key +
-                       " w=" + std::to_string(window) + ")",
-                   cost_per_tuple),
-      window_(window) {
+                           VirtualTime window)
+    : window_(window) {
   STREAMBID_CHECK_GT(window, 0.0);
   sides_[0].key_index = left_schema->FieldIndex(left_key);
   sides_[1].key_index = right_schema->FieldIndex(right_key);
@@ -67,13 +64,6 @@ void JoinOperator::Process(int port, const Tuple& tuple,
 void JoinOperator::AdvanceTime(VirtualTime now, std::vector<Tuple>* out) {
   (void)out;  // Joins emit only on arrival.
   for (Side& side : sides_) side.EvictOlderThan(now - window_);
-}
-
-void JoinOperator::Reset() {
-  for (Side& side : sides_) {
-    side.table.clear();
-    side.buffered = 0;
-  }
 }
 
 size_t JoinOperator::BufferedTuples() const {

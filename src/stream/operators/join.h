@@ -24,8 +24,7 @@ class JoinOperator : public OperatorBase {
  public:
   JoinOperator(const SchemaPtr& left_schema, const SchemaPtr& right_schema,
                const std::string& left_key, const std::string& right_key,
-               VirtualTime window,
-               double cost_per_tuple = DefaultCosts::kJoin);
+               VirtualTime window);
 
   SchemaPtr output_schema() const override { return output_schema_; }
 
@@ -33,8 +32,6 @@ class JoinOperator : public OperatorBase {
                std::vector<Tuple>* out) override;
 
   void AdvanceTime(VirtualTime now, std::vector<Tuple>* out) override;
-
-  void Reset() override;
 
   /// Tuples currently buffered on both sides (tests/monitoring).
   size_t BufferedTuples() const;

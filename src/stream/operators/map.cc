@@ -20,13 +20,10 @@ const char* MapFnToken(MapFn fn) {
   return "?";
 }
 
-MapOperator::MapOperator(const SchemaPtr& input_schema, std::string field,
-                         MapFn fn, double operand,
-                         std::string output_field, double cost_per_tuple)
-    : OperatorBase("map(" + output_field + "=" + field + MapFnToken(fn) +
-                       std::to_string(operand) + ")",
-                   cost_per_tuple),
-      field_index_(input_schema->FieldIndex(field)),
+MapOperator::MapOperator(const SchemaPtr& input_schema,
+                         const std::string& field, MapFn fn, double operand,
+                         std::string output_field)
+    : field_index_(input_schema->FieldIndex(field)),
       fn_(fn),
       operand_(operand) {
   STREAMBID_CHECK_GE(field_index_, 0);

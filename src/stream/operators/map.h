@@ -22,9 +22,8 @@ const char* MapFnToken(MapFn fn);
 /// field named `output_field`.
 class MapOperator : public OperatorBase {
  public:
-  MapOperator(const SchemaPtr& input_schema, std::string field, MapFn fn,
-              double operand, std::string output_field,
-              double cost_per_tuple = DefaultCosts::kMap);
+  MapOperator(const SchemaPtr& input_schema, const std::string& field,
+              MapFn fn, double operand, std::string output_field);
 
   SchemaPtr output_schema() const override { return output_schema_; }
 

@@ -3,14 +3,11 @@
 #include "stream/operators/project.h"
 
 #include "common/check.h"
-#include "common/string_util.h"
 
 namespace streambid::stream {
 
 ProjectOperator::ProjectOperator(const SchemaPtr& input_schema,
-                                 std::vector<std::string> fields,
-                                 double cost_per_tuple)
-    : OperatorBase("project(" + Join(fields, ",") + ")", cost_per_tuple) {
+                                 const std::vector<std::string>& fields) {
   std::vector<Field> out_fields;
   for (const std::string& f : fields) {
     const int idx = input_schema->FieldIndex(f);

@@ -15,8 +15,7 @@ namespace streambid::stream {
 class ProjectOperator : public OperatorBase {
  public:
   ProjectOperator(const SchemaPtr& input_schema,
-                  std::vector<std::string> fields,
-                  double cost_per_tuple = DefaultCosts::kProject);
+                  const std::vector<std::string>& fields);
 
   SchemaPtr output_schema() const override { return output_schema_; }
 

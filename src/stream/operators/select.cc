@@ -42,13 +42,10 @@ bool EvalCompare(const Value& lhs, CompareOp op, const Value& rhs) {
   return false;
 }
 
-SelectOperator::SelectOperator(SchemaPtr input_schema, std::string field,
-                               CompareOp op, Value operand,
-                               double cost_per_tuple)
-    : OperatorBase(
-          "select(" + field + CompareOpToken(op) + operand.ToString() + ")",
-          cost_per_tuple),
-      schema_(std::move(input_schema)),
+SelectOperator::SelectOperator(SchemaPtr input_schema,
+                               const std::string& field, CompareOp op,
+                               Value operand)
+    : schema_(std::move(input_schema)),
       field_index_(schema_->FieldIndex(field)),
       op_(op),
       operand_(std::move(operand)) {

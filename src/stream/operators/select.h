@@ -24,9 +24,8 @@ bool EvalCompare(const Value& lhs, CompareOp op, const Value& rhs);
 /// select(field OP constant).
 class SelectOperator : public OperatorBase {
  public:
-  SelectOperator(SchemaPtr input_schema, std::string field, CompareOp op,
-                 Value operand,
-                 double cost_per_tuple = DefaultCosts::kSelect);
+  SelectOperator(SchemaPtr input_schema, const std::string& field,
+                 CompareOp op, Value operand);
 
   SchemaPtr output_schema() const override { return schema_; }
 

@@ -10,12 +10,9 @@
 namespace streambid::stream {
 
 TopKOperator::TopKOperator(SchemaPtr input_schema, int k,
-                           std::string rank_field,
-                           VirtualTime window_size, double cost_per_tuple)
-    : OperatorBase("topk(" + std::to_string(k) + " by " + rank_field +
-                       " w=" + std::to_string(window_size) + ")",
-                   cost_per_tuple),
-      schema_(std::move(input_schema)),
+                           const std::string& rank_field,
+                           VirtualTime window_size)
+    : schema_(std::move(input_schema)),
       k_(k),
       rank_index_(schema_->FieldIndex(rank_field)),
       window_size_(window_size) {
@@ -60,7 +57,5 @@ void TopKOperator::AdvanceTime(VirtualTime now, std::vector<Tuple>* out) {
     it = open_.erase(it);
   }
 }
-
-void TopKOperator::Reset() { open_.clear(); }
 
 }  // namespace streambid::stream

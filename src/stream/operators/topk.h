@@ -19,9 +19,8 @@ namespace streambid::stream {
 /// (the winning tuples are re-emitted, stamped with the window end).
 class TopKOperator : public OperatorBase {
  public:
-  TopKOperator(SchemaPtr input_schema, int k, std::string rank_field,
-               VirtualTime window_size,
-               double cost_per_tuple = DefaultCosts::kTopK);
+  TopKOperator(SchemaPtr input_schema, int k, const std::string& rank_field,
+               VirtualTime window_size);
 
   SchemaPtr output_schema() const override { return schema_; }
 
@@ -29,8 +28,6 @@ class TopKOperator : public OperatorBase {
                std::vector<Tuple>* out) override;
 
   void AdvanceTime(VirtualTime now, std::vector<Tuple>* out) override;
-
-  void Reset() override;
 
  private:
   struct OpenWindow {

@@ -14,9 +14,8 @@ namespace streambid::stream {
 /// union(left, right) — pass-through merge.
 class UnionOperator : public OperatorBase {
  public:
-  UnionOperator(const SchemaPtr& left_schema, const SchemaPtr& right_schema,
-                double cost_per_tuple = DefaultCosts::kUnion)
-      : OperatorBase("union", cost_per_tuple), schema_(left_schema) {
+  UnionOperator(const SchemaPtr& left_schema, const SchemaPtr& right_schema)
+      : schema_(left_schema) {
     STREAMBID_CHECK(*left_schema == *right_schema);
   }
 

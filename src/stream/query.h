@@ -31,6 +31,20 @@ enum class OpKind {
   kDistinct,
 };
 
+/// Default per-tuple costs by operator kind, in capacity units. Chosen so
+/// that realistic source rates produce loads in the 1..10 range of the
+/// paper's workload (Table III: operator loads Zipf max 10).
+struct DefaultCosts {
+  static constexpr double kSelect = 0.01;
+  static constexpr double kProject = 0.008;
+  static constexpr double kMap = 0.012;
+  static constexpr double kAggregate = 0.02;
+  static constexpr double kJoin = 0.05;
+  static constexpr double kUnion = 0.005;
+  static constexpr double kTopK = 0.03;
+  static constexpr double kDistinct = 0.015;
+};
+
 /// Parameters of one plan node (a tagged union; only the fields of the
 /// active kind are meaningful).
 struct OpSpec {
@@ -86,7 +100,8 @@ struct OpSpec {
     }
   }
 
-  /// Per-tuple cost the engine charges and the load estimate prices:
+  /// Per-tuple cost: the engine charges it for each tuple the node
+  /// processes and the load estimate prices it, both from here.
   /// cost_override when positive, else the kind's DefaultCosts entry (0
   /// for a source).
   double cost_per_tuple() const;

@@ -50,18 +50,6 @@ class Schema {
     return fields_ == other.fields_;
   }
 
-  /// "name:type,name:type,..." — used in operator signatures.
-  std::string ToString() const {
-    std::string out;
-    for (size_t i = 0; i < fields_.size(); ++i) {
-      if (i > 0) out += ",";
-      out += fields_[i].name;
-      out += ":";
-      out += ValueTypeName(fields_[i].type);
-    }
-    return out;
-  }
-
  private:
   std::vector<Field> fields_;
 };

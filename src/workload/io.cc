@@ -52,6 +52,9 @@ Result<RawWorkload> ParseWorkload(const std::string& text) {
     std::string tag;
     fields >> tag;
     if (tag == "queries") {
+      // A second count would resize the tables under the subscriber
+      // indices already read against the first.
+      if (num_queries >= 0) return error("repeated 'queries' record");
       if (!(fields >> num_queries) || num_queries < 0) {
         return error("bad query count");
       }

@@ -70,7 +70,7 @@ class EngineTest : public ::testing::Test {
 std::vector<std::string> Rows(const Engine& engine) {
   std::vector<std::string> rows;
   for (const OperatorLoadInfo& info : engine.OperatorLoads()) {
-    rows.push_back(info.signature + " | " + info.name + " | " +
+    rows.push_back(info.signature + " | " +
                    std::to_string(info.sharing_degree) + " | " +
                    std::to_string(info.tuples_processed) + " | " +
                    std::to_string(info.measured_load));
@@ -231,18 +231,35 @@ TEST_F(EngineTest, FailedInstallLeavesTheEngineUnchanged) {
   const int nodes = engine_.num_runtime_nodes();
   const std::vector<std::string> rows = Rows(engine_);
 
-  // Fails at the aggregate, above a select that would be new.
+  // Each plan below reads the source both queries share, and fails only
+  // once instantiation has subscribed to or created nodes.
+  std::vector<std::pair<QueryPlan, StatusCode>> bad;
   QueryBuilder b;
+  // Fails at the aggregate, above a select that would be new.
   const int sel = b.Select(b.Source("quotes"), "price", CompareOp::kGt,
                            Value(3.0));
-  EXPECT_EQ(engine_
-                .InstallQuery(3, b.Build(b.Aggregate(sel, AggFn::kAvg, "nope",
-                                                     "", {5.0, 5.0})))
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_FALSE(engine_.IsInstalled(3));
-  EXPECT_EQ(engine_.num_runtime_nodes(), nodes);
-  EXPECT_EQ(Rows(engine_), rows);
+  bad.emplace_back(
+      b.Build(b.Aggregate(sel, AggFn::kAvg, "nope", "", {5.0, 5.0})),
+      StatusCode::kInvalidArgument);
+  // Fails at the unknown right source, after the new left select exists.
+  const int left = b.Select(b.Source("quotes"), "price", CompareOp::kGt,
+                            Value(3.0));
+  bad.emplace_back(
+      b.Build(b.Join(left, b.Source("nope"), "symbol", "symbol", 5.0)),
+      StatusCode::kNotFound);
+  // Fails at the union, over query 2's select and query 1's map, whose
+  // schemas differ.
+  const int src = b.Source("quotes");
+  const int shared_sel = b.Select(src, "price", CompareOp::kGt, Value(5.0));
+  const int shared_map = b.Map(src, "price", MapFn::kMul, 2.0, "scaled");
+  bad.emplace_back(b.Build(b.Union(shared_sel, shared_map)),
+                   StatusCode::kInvalidArgument);
+  for (const auto& [plan, code] : bad) {
+    EXPECT_EQ(engine_.InstallQuery(3, plan).code(), code);
+    EXPECT_FALSE(engine_.IsInstalled(3));
+    EXPECT_EQ(engine_.num_runtime_nodes(), nodes);
+    EXPECT_EQ(Rows(engine_), rows);
+  }
 
   // The engine still runs and still shares: query 3 joins query 2's
   // select and sees what query 2 sees from now on.

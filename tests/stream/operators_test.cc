@@ -183,16 +183,6 @@ TEST(AggregateOperatorTest, DoubleGroupKeysKeepLastValue) {
   EXPECT_DOUBLE_EQ(out[0].field("value").AsDouble(), 5.0);
 }
 
-TEST(AggregateOperatorTest, ResetDropsOpenWindows) {
-  SchemaPtr s = QuoteSchema();
-  AggregateOperator agg(s, AggFn::kCount, "price", "", {10.0, 10.0});
-  std::vector<Tuple> out;
-  agg.Process(0, Quote(s, "A", 1.0, 1, 1.0), &out);
-  agg.Reset();
-  agg.AdvanceTime(100.0, &out);
-  EXPECT_TRUE(out.empty());
-}
-
 TEST(JoinOperatorTest, MatchesWithinWindow) {
   SchemaPtr quotes = QuoteSchema();
   SchemaPtr news = MakeSchema({{"company", ValueType::kString},
@@ -261,21 +251,6 @@ TEST(UnionOperatorTest, MergesBothPorts) {
   u.Process(0, Quote(s, "A", 1.0, 1, 0.0), &out);
   u.Process(1, Quote(s, "B", 2.0, 1, 0.5), &out);
   EXPECT_EQ(out.size(), 2u);
-}
-
-TEST(OperatorStatsTest, SelectivityTracksCounts) {
-  SchemaPtr s = QuoteSchema();
-  SelectOperator sel(s, "price", CompareOp::kGt, Value(100.0));
-  std::vector<Tuple> out;
-  for (double p : {99.0, 101.0, 102.0, 98.0}) {
-    out.clear();
-    sel.Process(0, Quote(s, "A", p, 1, 0.0), &out);
-    sel.RecordInput(1);
-    sel.RecordOutput(static_cast<int64_t>(out.size()));
-  }
-  EXPECT_EQ(sel.tuples_in(), 4);
-  EXPECT_EQ(sel.tuples_out(), 2);
-  EXPECT_DOUBLE_EQ(sel.MeasuredSelectivity(), 0.5);
 }
 
 }  // namespace

@@ -58,16 +58,6 @@ TEST(TopKOperatorTest, WindowsAreIndependent) {
   EXPECT_DOUBLE_EQ(out[1].field("price").AsDouble(), 2.0);
 }
 
-TEST(TopKOperatorTest, ResetDropsState) {
-  SchemaPtr s = QuoteSchema();
-  TopKOperator topk(s, 2, "price", 10.0);
-  std::vector<Tuple> out;
-  topk.Process(0, Quote(s, "X", 9.0, 5.0), &out);
-  topk.Reset();
-  topk.AdvanceTime(100.0, &out);
-  EXPECT_TRUE(out.empty());
-}
-
 TEST(DistinctOperatorTest, SuppressesDuplicatesWithinWindow) {
   SchemaPtr s = QuoteSchema();
   DistinctOperator distinct(s, "symbol", /*window=*/10.0);

@@ -66,6 +66,8 @@ TEST(WorkloadIoTest, RejectsBadRecords) {
   EXPECT_FALSE(ParseWorkload(header + "o -1 0\n").ok());     // Load.
   EXPECT_FALSE(ParseWorkload(header + "o 1.0 5\n").ok());    // Sub range.
   EXPECT_FALSE(ParseWorkload(header + "z 1\n").ok());        // Tag.
+  // A second count would strand the first one's subscribers.
+  EXPECT_FALSE(ParseWorkload(header + "o 1.0 1\nqueries 1\n").ok());
 }
 
 TEST(WorkloadIoTest, SaveAndLoadFile) {
