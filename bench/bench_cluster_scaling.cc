@@ -153,8 +153,7 @@ void RunShardingExperiment(const bench::BenchConfig& config) {
                              periods, total_capacity));
     for (cluster::RoutingPolicy policy :
          {cluster::RoutingPolicy::kHashUser,
-          cluster::RoutingPolicy::kLeastLoaded,
-          cluster::RoutingPolicy::kPriceAware}) {
+          cluster::RoutingPolicy::kLeastLoaded}) {
       rows.push_back(RunLayout(mechanism, 4, policy, tenants, periods,
                                total_capacity));
     }

@@ -14,6 +14,13 @@
 namespace streambid::auction {
 namespace {
 
+/// Step 3 cost cap: if |D| exceeds this, fall back to skipping Step 3
+/// (documented substitution — with integer Zipf valuations the boundary
+/// tie class can hold hundreds of queries, and 2^|D| subsets are not
+/// enumerable; the paper's guarantee degrades gracefully to the
+/// Theorem 12 bound in exactly this case).
+constexpr size_t kMaxExhaustiveDuplicates = 16;
+
 /// Computes the optimal single-price profit of a valuation multiset
 /// sorted non-increasingly: max_i i * v_i (1-based), returning the price
 /// v_i at the argmax (0 when empty). This is Step 5 of Algorithm 3.
@@ -132,8 +139,7 @@ class TwoPriceMechanism : public Mechanism {
     for (QueryId i = 0; i < instance.num_queries(); ++i) {
       if (instance.bid(i) == v_l) d.push_back(i);
     }
-    if (d.size() >
-        static_cast<size_t>(options_.max_exhaustive_duplicates)) {
+    if (d.size() > kMaxExhaustiveDuplicates) {
       // Documented fallback: enumeration infeasible; behave like the
       // polynomial variant (keep H as computed by Step 2).
       return;

@@ -20,13 +20,6 @@ struct TwoPriceOptions {
   /// The paper notes this step is exponential in |D|; disabling it gives
   /// the polynomial-time variant of Theorem 12.
   bool exhaustive_step3 = true;
-
-  /// Step 3 cost cap: if |D| exceeds this, fall back to skipping Step 3
-  /// (documented substitution — with integer Zipf valuations the
-  /// boundary tie class can hold hundreds of queries, and 2^|D| subsets
-  /// are not enumerable; the paper's guarantee degrades gracefully to
-  /// the Theorem 12 bound in exactly this case).
-  int max_exhaustive_duplicates = 16;
 };
 
 /// Builds the Two-price mechanism ("two-price"), exhaustive Step 3.

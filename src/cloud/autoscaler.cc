@@ -11,6 +11,25 @@
 
 namespace streambid::cloud {
 
+namespace {
+
+/// Candidate capacities evaluated per decision.
+constexpr int kGridPoints = 5;
+/// The grid spans estimate * [1 - kGridSpan, 1 + kGridSpan] (clamped
+/// into the step and capacity bounds).
+constexpr double kGridSpan = 0.5;
+/// Demand estimate = mean windowed demand * kTargetHeadroom, i.e. the
+/// tracker aims at utilization 1 / kTargetHeadroom.
+constexpr double kTargetHeadroom = 1.25;
+/// A candidate must beat the current capacity's net profit by this
+/// fraction of |current net| to trigger a change — the second
+/// hysteresis guard, so marginal wins do not cause thrash.
+constexpr double kMinImprovementRatio = 0.02;
+/// Averaging trials per candidate for randomized mechanisms.
+constexpr int kTrials = 1;
+
+}  // namespace
+
 CapacityAutoscaler::CapacityAutoscaler(const AutoscalerOptions& options,
                                        double baseline_capacity)
     : options_(options), baseline_(baseline_capacity) {
@@ -21,11 +40,6 @@ CapacityAutoscaler::CapacityAutoscaler(const AutoscalerOptions& options,
   STREAMBID_CHECK_GE(options.window, 1);
   STREAMBID_CHECK_GE(options.min_dwell_periods, 1);
   STREAMBID_CHECK_GT(options.max_step_ratio, 0.0);
-  STREAMBID_CHECK_GE(options.grid_points, 2);
-  STREAMBID_CHECK_GT(options.grid_span, 0.0);
-  STREAMBID_CHECK_GT(options.target_headroom, 0.0);
-  STREAMBID_CHECK_GE(options.min_improvement_ratio, 0.0);
-  STREAMBID_CHECK_GE(options.trials, 1);
   capacity_ = std::clamp(baseline_, min_capacity(), max_capacity());
   // The initial capacity has served no period yet, so the first
   // decision is free to move; thereafter the dwell counter tracks how
@@ -104,15 +118,15 @@ Result<AutoscaleDecision> CapacityAutoscaler::Propose(
     // competes on equal terms (and the improvement guard has a
     // reference evaluation).
     const double center =
-        std::clamp(decision.demand_estimate * options_.target_headroom,
+        std::clamp(decision.demand_estimate * kTargetHeadroom,
                    step_lo, step_hi);
     std::vector<double> candidates;
-    candidates.reserve(static_cast<size_t>(options_.grid_points) + 1);
-    for (int i = 0; i < options_.grid_points; ++i) {
+    candidates.reserve(static_cast<size_t>(kGridPoints) + 1);
+    for (int i = 0; i < kGridPoints; ++i) {
       const double f =
-          -options_.grid_span +
-          2.0 * options_.grid_span * static_cast<double>(i) /
-              static_cast<double>(options_.grid_points - 1);
+          -kGridSpan +
+          2.0 * kGridSpan * static_cast<double>(i) /
+              static_cast<double>(kGridPoints - 1);
       candidates.push_back(
           std::clamp(center * (1.0 + f), step_lo, step_hi));
     }
@@ -126,7 +140,7 @@ Result<AutoscaleDecision> CapacityAutoscaler::Propose(
         EvaluateCapacities(service, mechanism, *instance, candidates,
                            options_.energy,
                            EvaluationSeed(seed, decision.period),
-                           options_.trials));
+                           kTrials));
     const CapacityEvaluation& best = BestEvaluation(evals);
     const CapacityEvaluation* current = nullptr;
     for (const CapacityEvaluation& e : evals) {
@@ -137,7 +151,7 @@ Result<AutoscaleDecision> CapacityAutoscaler::Propose(
     // Hysteresis guard 2: moving must beat holding by a margin.
     const double hurdle =
         current->net_profit +
-        options_.min_improvement_ratio * std::abs(current->net_profit);
+        kMinImprovementRatio * std::abs(current->net_profit);
     if (best.capacity != capacity_ && best.net_profit > hurdle) {
       next = best.capacity;
       decision.expected_net_profit = best.net_profit;

@@ -47,23 +47,9 @@ struct AutoscalerOptions {
   int min_dwell_periods = 2;
   /// Hysteresis: |next - current| <= current * max_step_ratio.
   double max_step_ratio = 0.5;
-  /// Candidate capacities evaluated per decision.
-  int grid_points = 5;
-  /// The grid spans estimate * [1 - grid_span, 1 + grid_span] (clamped
-  /// into the step and capacity bounds).
-  double grid_span = 0.5;
-  /// Demand estimate = mean windowed demand * target_headroom, i.e. the
-  /// tracker aims at utilization 1 / target_headroom.
-  double target_headroom = 1.25;
-  /// A candidate must beat the current capacity's net profit by this
-  /// fraction of |current net| to trigger a change — the second
-  /// hysteresis guard, so marginal wins do not cause thrash.
-  double min_improvement_ratio = 0.02;
   /// Energy curve priced into every candidate (and into the owning
   /// center's PeriodReport::energy_cost, autoscaled or not).
   EnergyModel energy;
-  /// Averaging trials per candidate for randomized mechanisms.
-  int trials = 1;
 };
 
 /// One period boundary's provisioning decision.
@@ -108,9 +94,7 @@ class CapacityAutoscaler {
  public:
   /// Preconditions (checked): baseline_capacity > 0, 0 <
   /// min_capacity_ratio <= max_capacity_ratio, window >= 1,
-  /// min_dwell_periods >= 1, max_step_ratio > 0, grid_points >= 2,
-  /// grid_span > 0, target_headroom > 0, min_improvement_ratio >= 0,
-  /// trials >= 1.
+  /// min_dwell_periods >= 1, max_step_ratio > 0.
   CapacityAutoscaler(const AutoscalerOptions& options,
                      double baseline_capacity);
 

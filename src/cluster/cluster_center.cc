@@ -2,7 +2,6 @@
 
 #include "cluster/cluster_center.h"
 
-#include <limits>
 #include <memory>
 #include <utility>
 
@@ -70,9 +69,7 @@ Result<int> ClusterCenter::Submit(stream::QuerySubmission submission) {
   STREAMBID_ASSIGN_OR_RETURN(
       const double load,
       shards_[static_cast<size_t>(s)].center->Submit(std::move(submission)));
-  ShardStatus& status = statuses_[static_cast<size_t>(s)];
-  status.pending_load += load;
-  ++status.pending_count;
+  statuses_[static_cast<size_t>(s)].pending_load += load;
   // The rebalancer's signal source: where this tenant lives and how
   // much demand it generated this period. Only the rebalancer reads it.
   if (options_.rebalance.enabled) {
@@ -81,21 +78,6 @@ Result<int> ClusterCenter::Submit(stream::QuerySubmission submission) {
     record.period_load += load;
   }
   return s;
-}
-
-BatchSubmitOutcome ClusterCenter::SubmitBatch(
-    std::vector<stream::QuerySubmission> batch) {
-  BatchSubmitOutcome outcome;
-  for (stream::QuerySubmission& submission : batch) {
-    const Result<int> shard = Submit(std::move(submission));
-    if (shard.ok()) {
-      ++outcome.accepted;
-    } else {
-      ++outcome.rejected;
-      if (outcome.first_error.ok()) outcome.first_error = shard.status();
-    }
-  }
-  return outcome;
 }
 
 Result<cloud::PeriodReport> ClusterCenter::RunShardPeriod(
@@ -151,12 +133,13 @@ Result<ClusterPeriodReport> ClusterCenter::MergeCompleted(
   const int n = num_shards();
 
   // --- Refresh the router's view for every shard that completed:
-  // pending demand was consumed, and the price-aware policy keys off
-  // this period's clearing. This runs before any failure surfaces so a
-  // partial failure does not leave stale pending-load bias on the
-  // surviving shards (a failed shard itself is unrecoverable — its
-  // engine may be mid-transition — matching DsmsCenter::RunPeriod
-  // error semantics). ---
+  // pending demand was consumed, and the engine keeps this period's
+  // provisioning until the next prepare phase re-decides, so it is the
+  // router's best view of the shard's next-period capacity. This runs
+  // before any failure surfaces so a partial failure does not leave
+  // stale pending-load bias on the surviving shards (a failed shard
+  // itself is unrecoverable — its engine may be mid-transition —
+  // matching DsmsCenter::RunPeriod error semantics). ---
   Status first_error;
   for (int s = 0; s < n; ++s) {
     const Result<cloud::PeriodReport>& result =
@@ -165,35 +148,17 @@ Result<ClusterPeriodReport> ClusterCenter::MergeCompleted(
       if (first_error.ok()) first_error = result.status();
       continue;
     }
-    const cloud::PeriodReport& shard_report = *result;
     ShardStatus& status = statuses_[static_cast<size_t>(s)];
     status.pending_load = 0.0;
-    status.pending_count = 0;
-    // The engine keeps this period's provisioning until the next
-    // prepare phase re-decides, so it is the router's best view of the
-    // shard's next-period capacity.
-    status.next_capacity = shard_report.provisioned_capacity;
-    if (shard_report.submissions > 0) {
-      status.has_history = true;
-      // Admitting nobody means saturation, not free service: mark the
-      // clearing infinite so the price-aware policy repels traffic
-      // instead of funneling everything into the saturated shard.
-      status.last_clearing_price =
-          shard_report.admitted > 0
-              ? shard_report.revenue / shard_report.admitted
-              : std::numeric_limits<double>::infinity();
-      status.last_admission_rate =
-          static_cast<double>(shard_report.admitted) /
-          shard_report.submissions;
-    }
+    status.next_capacity = result->provisioned_capacity;
   }
   if (!first_error.ok()) return first_error;
 
   // --- Merge into the cluster view. Utilizations are weighted by each
   // shard's provisioned capacity: once the autoscalers diverge, a
-  // plain mean would let a tiny busy shard read like half the cluster
-  // (the degenerate zero-total-capacity period falls back to the plain
-  // mean so the fields stay defined). ---
+  // plain mean would let a tiny busy shard read like half the cluster.
+  // Every shard runs at a positive capacity, so the weights never sum
+  // to zero. ---
   ClusterPeriodReport report;
   report.period = static_cast<int>(history_.size());
   report.shard_reports.reserve(static_cast<size_t>(n));
@@ -211,19 +176,14 @@ Result<ClusterPeriodReport> ClusterCenter::MergeCompleted(
         shard_report.auction_utilization * shard_report.provisioned_capacity;
     weighted_measured +=
         shard_report.measured_utilization * shard_report.provisioned_capacity;
-    report.auction_utilization += shard_report.auction_utilization / n;
-    report.measured_utilization +=
-        shard_report.measured_utilization / n;
     report.provisioned_capacity += shard_report.provisioned_capacity;
     report.energy_cost += shard_report.energy_cost;
     report.shard_reports.push_back(std::move(result).value());
   }
-  if (report.provisioned_capacity > 0.0) {
-    report.auction_utilization =
-        weighted_auction / report.provisioned_capacity;
-    report.measured_utilization =
-        weighted_measured / report.provisioned_capacity;
-  }
+  report.auction_utilization =
+      weighted_auction / report.provisioned_capacity;
+  report.measured_utilization =
+      weighted_measured / report.provisioned_capacity;
   report.elapsed_ms = timer.ElapsedMillis();
   history_.push_back(report);
   if (periods_metric_ != nullptr) periods_metric_->Increment();

@@ -99,9 +99,9 @@ struct ClusterOptions {
   /// Meant for stable placements (kHashUser, or tenants already
   /// pinned): the per-tenant demand signal attributes a tenant's whole
   /// period load to the shard its LAST submission routed to, so under
-  /// kLeastLoaded/kPriceAware — where one tenant's submissions can
-  /// spread over several shards within a period — the pressure signal
-  /// is approximate until a migration pins the tenant (after which its
+  /// kLeastLoaded — where one tenant's submissions can spread over
+  /// several shards within a period — the pressure signal is
+  /// approximate until a migration pins the tenant (after which its
   /// traffic, and therefore its signal, is exact again).
   RebalancerOptions rebalance;
   /// Optional telemetry sink, fanned through every layer the cluster
@@ -127,9 +127,8 @@ struct ClusterPeriodReport {
   double total_payoff = 0.0;
   /// Means over shards weighted by each shard's provisioned_capacity,
   /// so the cluster-level figure stays truthful after the autoscalers
-  /// diverge per-shard capacity (a tiny drained shard at 100% must not
-  /// read like half the cluster is busy). Falls back to the plain mean
-  /// only in the degenerate all-shards-at-zero-capacity period.
+  /// diverge per-shard capacity (a tiny shrunk shard at 100% must not
+  /// read like half the cluster is busy).
   double auction_utilization = 0.0;
   double measured_utilization = 0.0;
   /// Total capacity provisioned across shards this period (== the
@@ -142,18 +141,6 @@ struct ClusterPeriodReport {
   double elapsed_ms = 0.0;
   /// Indexed by shard; each report carries its mechanism name.
   std::vector<cloud::PeriodReport> shard_reports;
-};
-
-/// What SubmitBatch did with a drained gate batch: how many submissions
-/// each shard queue accepted, how many the cluster refused, and the
-/// first refusal (in batch order) for diagnostics. Per-item refusals do
-/// not abort the batch — later items still submit, mirroring what a
-/// caller looping over Submit would get.
-struct BatchSubmitOutcome {
-  int accepted = 0;
-  int rejected = 0;
-  /// OK when rejected == 0; otherwise the first per-item error.
-  Status first_error = Status::Ok();
 };
 
 /// N admission-controlled centers behind one router and one executor.
@@ -181,15 +168,6 @@ class ClusterCenter {
   /// Routing happens before admission: a submission rejected by its
   /// shard's auction is not re-routed.
   Result<int> Submit(stream::QuerySubmission submission);
-
-  /// Moves a drained gate batch into the shard queues, in batch order —
-  /// the streaming ingress path. Equivalent to calling Submit on each
-  /// element (same routing, same tenant signals, so replay is identical
-  /// to the loop), but per-item errors are folded into the outcome
-  /// instead of aborting: the batch was already granted tickets, and a
-  /// routed-but-refused submission must be accounted, not lose its
-  /// successors.
-  BatchSubmitOutcome SubmitBatch(std::vector<stream::QuerySubmission> batch);
 
   /// Runs one period: runs every shard's chain (prepare -> admit ->
   /// complete) as one RunAll batch on the executor pool, refreshes the

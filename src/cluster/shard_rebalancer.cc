@@ -59,24 +59,22 @@ MigrationPlan ShardRebalancer::Plan(
     }
   }
 
-  // Pressure = recent demand relative to next-period capacity. Shards
-  // without a known capacity are treated at capacity 1 (the same
-  // convention as least-loaded routing); drained shards are ineligible
-  // as destinations and have nothing to shed as sources.
+  // Pressure = recent demand relative to next-period capacity (the
+  // same measure as least-loaded routing).
   const auto capacity_of = [&](int s) {
-    return statuses[static_cast<size_t>(s)].next_capacity.value_or(1.0);
+    return statuses[static_cast<size_t>(s)].next_capacity;
   };
-  int hot = -1, cold = -1;
-  double hot_pressure = 0.0, cold_pressure = 0.0;
-  for (int s = 0; s < num_shards_; ++s) {
-    if (!ShardRouter::Eligible(statuses[static_cast<size_t>(s)])) continue;
+  int hot = 0, cold = 0;
+  double hot_pressure = demand[0] / capacity_of(0);
+  double cold_pressure = hot_pressure;
+  for (int s = 1; s < num_shards_; ++s) {
     const double pressure = demand[static_cast<size_t>(s)] / capacity_of(s);
     // Strict >/<: ties stay on the lowest index (deterministic).
-    if (hot < 0 || pressure > hot_pressure) {
+    if (pressure > hot_pressure) {
       hot = s;
       hot_pressure = pressure;
     }
-    if (cold < 0 || pressure < cold_pressure) {
+    if (pressure < cold_pressure) {
       cold = s;
       cold_pressure = pressure;
     }
@@ -85,7 +83,7 @@ MigrationPlan ShardRebalancer::Plan(
   plan.cold_shard = cold;
   plan.hot_pressure = hot_pressure;
   plan.cold_pressure = cold_pressure;
-  if (hot < 0 || cold < 0 || hot == cold) return plan;
+  if (hot == cold) return plan;
 
   // Hysteresis gates: the hot shard must be oversubscribed (demand
   // above its capacity), must actually have rejected work last period

@@ -4,10 +4,10 @@
 // that one center sees all competing queries; a static hash placement
 // breaks that — a hot shard rejects bidders (revenue on the floor)
 // while a cold shard idles. The ShardRebalancer closes the gap: between
-// periods it reads the router-visible ShardStatus signals (pending
-// load, clearing price, admission rate, next_capacity) plus the latest
-// per-shard PeriodReports and emits a bounded migration plan that moves
-// tenants from the most pressured shard to the least pressured one.
+// periods it reads each shard's next_capacity from the router-visible
+// ShardStatus, the per-tenant demand signals, and the latest per-shard
+// PeriodReports, and emits a bounded migration plan that moves tenants
+// from the most pressured shard to the least pressured one.
 //
 // Determinism contract: Plan() is a pure function of its inputs and
 // the construction-time (options, seed). It never reads a clock, an
@@ -85,7 +85,7 @@ struct TenantMove {
 struct MigrationPlan {
   int period = 0;       ///< Completed periods when planned.
   int hot_shard = -1;   ///< Highest demand/capacity shard (-1: no data).
-  int cold_shard = -1;  ///< Lowest demand/capacity eligible shard.
+  int cold_shard = -1;  ///< Lowest demand/capacity shard (-1: no data).
   double hot_pressure = 0.0;
   double cold_pressure = 0.0;
   std::vector<TenantMove> moves;

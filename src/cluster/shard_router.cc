@@ -2,8 +2,6 @@
 
 #include "cluster/shard_router.h"
 
-#include <cmath>
-
 #include "common/check.h"
 #include "common/rng.h"
 
@@ -11,19 +9,9 @@ namespace streambid::cluster {
 
 namespace {
 
-/// Clearing prices are revenue / admitted: the same allocation computed
-/// on different platforms (or through a different summation order) can
-/// differ in the last bits, and an exact == tie-break would flip the
-/// routed shard on that noise.
-constexpr double kPriceRelativeTolerance = 1e-9;
-
-/// Pending load relative to the shard's next-period capacity. A shard
-/// whose owner tracks no provisioning compares at capacity 1 — with a
-/// provisioning-tracking owner (the ClusterCenter) every shard always
-/// carries a capacity, so the mixed case only arises in hand-built
-/// status vectors.
+/// Pending load relative to the shard's next-period capacity.
 double RelativeLoad(const ShardStatus& status) {
-  return status.pending_load / status.next_capacity.value_or(1.0);
+  return status.pending_load / status.next_capacity;
 }
 
 }  // namespace
@@ -34,8 +22,6 @@ const char* RoutingPolicyName(RoutingPolicy policy) {
       return "hash";
     case RoutingPolicy::kLeastLoaded:
       return "least-loaded";
-    case RoutingPolicy::kPriceAware:
-      return "price-aware";
   }
   return "unknown";
 }
@@ -52,33 +38,6 @@ uint64_t ShardRouter::HashUser(auction::UserId user) {
                0x9E3779B97F4A7C15ull);
 }
 
-bool ShardRouter::PricesTie(double a, double b) {
-  if (std::isinf(a) || std::isinf(b)) {
-    return std::isinf(a) && std::isinf(b);
-  }
-  return std::abs(a - b) <=
-         kPriceRelativeTolerance * std::max(std::abs(a), std::abs(b));
-}
-
-int ShardRouter::ProbeFrom(int home,
-                           const std::vector<ShardStatus>& shards) const {
-  // Probe forward from the home shard past drained ones, so the
-  // placement stays stable while a shard's provisioning is at zero and
-  // snaps back the period it recovers.
-  for (int k = 0; k < num_shards_; ++k) {
-    const int s = (home + k) % num_shards_;
-    if (Eligible(shards[static_cast<size_t>(s)])) return s;
-  }
-  return home;  // Everything drained: deterministic degenerate choice.
-}
-
-int ShardRouter::RouteHash(const stream::QuerySubmission& submission,
-                           const std::vector<ShardStatus>& shards) const {
-  return ProbeFrom(static_cast<int>(HashUser(submission.user) %
-                                    static_cast<uint64_t>(num_shards_)),
-                   shards);
-}
-
 int ShardRouter::Route(const stream::QuerySubmission& submission,
                        const std::vector<ShardStatus>& shards,
                        const PlacementOverrides* overrides) const {
@@ -90,65 +49,26 @@ int ShardRouter::Route(const stream::QuerySubmission& submission,
     if (it != overrides->end()) {
       STREAMBID_CHECK_GE(it->second, 0);
       STREAMBID_CHECK_LT(it->second, num_shards_);
-      return ProbeFrom(it->second, shards);
+      return it->second;
     }
   }
   switch (policy_) {
     case RoutingPolicy::kHashUser:
-      return RouteHash(submission, shards);
+      return static_cast<int>(HashUser(submission.user) %
+                              static_cast<uint64_t>(num_shards_));
 
     case RoutingPolicy::kLeastLoaded: {
-      int best = -1;
-      for (int s = 0; s < num_shards_; ++s) {
-        if (!Eligible(shards[static_cast<size_t>(s)])) continue;
-        // Load relative to next-period capacity: a half-drained shard
+      int best = 0;
+      for (int s = 1; s < num_shards_; ++s) {
+        // Load relative to next-period capacity: a half-sized shard
         // with half the pending load is exactly as full, not roomier.
         // Strict <: ties stay on the lowest index (deterministic).
-        if (best < 0 || RelativeLoad(shards[static_cast<size_t>(s)]) <
-                            RelativeLoad(shards[static_cast<size_t>(best)])) {
+        if (RelativeLoad(shards[static_cast<size_t>(s)]) <
+            RelativeLoad(shards[static_cast<size_t>(best)])) {
           best = s;
         }
       }
-      return best >= 0 ? best : RouteHash(submission, shards);
-    }
-
-    case RoutingPolicy::kPriceAware: {
-      // No eligible shard has run a period yet: nothing to compare
-      // prices on, so place by the stable hash instead.
-      bool any_history = false;
-      for (const ShardStatus& status : shards) {
-        any_history =
-            any_history || (Eligible(status) && status.has_history);
-      }
-      if (!any_history) return RouteHash(submission, shards);
-
-      // A shard without history is optimistically price 0 / rate 1, so
-      // unexplored capacity attracts traffic until it clears a period —
-      // otherwise a shard the hash never seeded could stay dead weight
-      // forever. Ties go to the lowest index.
-      const auto price = [](const ShardStatus& s) {
-        return s.has_history ? s.last_clearing_price : 0.0;
-      };
-      const auto rate = [](const ShardStatus& s) {
-        return s.has_history ? s.last_admission_rate : 1.0;
-      };
-      int best = -1;
-      for (int s = 0; s < num_shards_; ++s) {
-        const ShardStatus& status = shards[static_cast<size_t>(s)];
-        if (!Eligible(status)) continue;
-        if (best < 0) {
-          best = s;
-          continue;
-        }
-        const ShardStatus& incumbent =
-            shards[static_cast<size_t>(best)];
-        if (PricesTie(price(status), price(incumbent))
-                ? rate(status) > rate(incumbent)
-                : price(status) < price(incumbent)) {
-          best = s;
-        }
-      }
-      return best >= 0 ? best : RouteHash(submission, shards);
+      return best;
     }
   }
   STREAMBID_CHECK(false);

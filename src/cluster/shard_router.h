@@ -1,33 +1,23 @@
 // Copyright 2026 The streambid Authors
 // Routing of query submissions across the shards of a multi-center
 // deployment. The router is a pure policy: it sees one submission plus a
-// status snapshot per shard (pending load, last period's outcome) and
-// picks a shard index. Three policies, per the sharded-multi-center
-// ROADMAP item:
+// status snapshot per shard (pending load, next-period capacity) and
+// picks a shard index. Two policies:
 //
 //  - hash(user): stable user -> shard assignment, oblivious to load;
 //  - least-loaded: the shard with the lowest pending auction load
 //    relative to its next-period capacity (ties to the lowest index),
-//    balancing the next auction's demand — a half-drained autoscaled
-//    shard must not look as roomy as a fully provisioned one;
-//  - price-aware: the shard whose last period cleared cheapest — the
-//    lowest mean winner payment, ties broken by higher admission rate —
-//    i.e. where a marginal bidder most likely wins. Prices tie under a
-//    relative tolerance (clearing prices are revenue / admitted, and
-//    bit-level noise in that division must not flip routing across
-//    platforms). Shards without history are explored optimistically
-//    (price 0, rate 1) so unused capacity attracts traffic; until any
-//    shard has history at all, routing falls back to hash(user).
+//    balancing the next auction's demand — a shrunk autoscaled shard
+//    must not look as roomy as a fully provisioned one.
 //
-// All policies respect placement overrides first: the rebalancer pins a
-// migrated tenant to its new home, and routing must follow the current
-// placement, not the original hash.
+// Both policies respect placement overrides first: the rebalancer pins
+// a migrated tenant to its new home, and routing must follow the
+// current placement, not the original hash.
 
 #ifndef STREAMBID_CLUSTER_SHARD_ROUTER_H_
 #define STREAMBID_CLUSTER_SHARD_ROUTER_H_
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -40,31 +30,21 @@ namespace streambid::cluster {
 enum class RoutingPolicy {
   kHashUser,
   kLeastLoaded,
-  kPriceAware,
 };
 
-/// Stable lowercase name ("hash", "least-loaded", "price-aware").
+/// Stable lowercase name ("hash", "least-loaded").
 const char* RoutingPolicyName(RoutingPolicy policy);
 
 /// What the router knows about one shard when routing. Maintained by the
-/// ClusterCenter: pending_* reset at each period boundary, the last_*
-/// fields refresh from the shard's PeriodReport.
+/// ClusterCenter: pending_load resets and next_capacity refreshes at
+/// each period close.
 struct ShardStatus {
   double pending_load = 0.0;  ///< Estimated load of pending submissions.
-  int pending_count = 0;
-  bool has_history = false;   ///< Completed at least one auction period.
-  /// Mean payment per admitted query last period. 0 means everyone won
-  /// for free (the cheapest clearing); +infinity marks a saturated
-  /// period that admitted nobody — saturation must repel traffic, not
-  /// read as free service.
-  double last_clearing_price = 0.0;
-  double last_admission_rate = 0.0;  ///< admitted / submitted last period.
   /// Capacity the shard is provisioned at for the next period (the
-  /// autoscaler's latest decision, refreshed by the ClusterCenter at
-  /// each period close; nullopt when the owner does not track
-  /// provisioning). A shard with a known zero capacity is drained:
-  /// every routing policy routes around it.
-  std::optional<double> next_capacity;
+  /// autoscaler's latest decision). Always positive under a
+  /// ClusterCenter, whose engines CHECK every capacity they run at; a
+  /// hand-built status compares at capacity 1.
+  double next_capacity = 1.0;
 };
 
 /// Current tenant placements pinned by the rebalancer: user -> shard.
@@ -81,21 +61,11 @@ class ShardRouter {
   /// Picks the shard for `submission` given the current shard statuses
   /// and (optionally) the rebalancer's placement overrides. An override
   /// wins under every policy — a migrated tenant is pinned to its new
-  /// home; if that home is drained, routing probes forward from it
-  /// (like the hash policy) and snaps back the period it recovers.
-  /// Drained shards (known next-period capacity of zero) are never
-  /// targeted unless every shard is drained (then the stable placement
-  /// applies — the period will reject, but deterministically).
+  /// home.
   /// Precondition (checked): shards.size() == num_shards().
   int Route(const stream::QuerySubmission& submission,
             const std::vector<ShardStatus>& shards,
             const PlacementOverrides* overrides = nullptr) const;
-
-  /// True when `status` may receive traffic (no known zero next-period
-  /// capacity).
-  static bool Eligible(const ShardStatus& status) {
-    return !status.next_capacity.has_value() || *status.next_capacity > 0.0;
-  }
 
   RoutingPolicy policy() const { return policy_; }
   int num_shards() const { return num_shards_; }
@@ -104,19 +74,7 @@ class ShardRouter {
   /// exposed so tests and rebalancing tooling can predict placements.
   static uint64_t HashUser(auction::UserId user);
 
-  /// Relative tolerance under which two clearing prices tie (the
-  /// price-aware tie-break then falls to admission rate). Two infinite
-  /// prices (saturated shards) always tie; an infinite price never
-  /// ties a finite one.
-  static bool PricesTie(double a, double b);
-
  private:
-  /// Stable hash placement probing past drained shards.
-  int RouteHash(const stream::QuerySubmission& submission,
-                const std::vector<ShardStatus>& shards) const;
-  /// `home` placement probing forward past drained shards.
-  int ProbeFrom(int home, const std::vector<ShardStatus>& shards) const;
-
   RoutingPolicy policy_;
   int num_shards_;
 };

@@ -99,13 +99,18 @@ Result<GatedPeriodReport> StreamIngress::ClosePeriod() {
     period_shed_ = 0;
   }
 
-  std::vector<stream::QuerySubmission> submissions;
-  submissions.reserve(batch.size());
+  // Submit in arrival order. A refusal does not stop the drain: the
+  // submission already holds a ticket, so it is counted as dropped and
+  // its successors still submit.
+  int64_t accepted = 0;
+  int64_t dropped = 0;
   for (Buffered& item : batch) {
-    submissions.push_back(std::move(item.submission));
+    if (center_->Submit(std::move(item.submission)).ok()) {
+      ++accepted;
+    } else {
+      ++dropped;
+    }
   }
-  const cluster::BatchSubmitOutcome outcome =
-      center_->SubmitBatch(std::move(submissions));
 
   // A ticket's job ended when its submission left the gate buffer.
   for (const Buffered& item : batch) {
@@ -123,8 +128,8 @@ Result<GatedPeriodReport> StreamIngress::ClosePeriod() {
 
   gated.gate.offered = offered;
   gated.gate.shed = shed;
-  gated.gate.admitted = outcome.accepted;
-  gated.gate.dropped = outcome.rejected;
+  gated.gate.admitted = accepted;
+  gated.gate.dropped = dropped;
   WaitHistogram merged;
   gated.gate.pools.reserve(pools_.size());
   for (const std::unique_ptr<TicketHolder>& pool : pools_) {
@@ -136,11 +141,11 @@ Result<GatedPeriodReport> StreamIngress::ClosePeriod() {
 
   total_offered_ += offered;
   total_shed_ += shed;
-  total_admitted_ += outcome.accepted;
+  total_admitted_ += accepted;
 
   if (admitted_metric_ != nullptr) {
-    admitted_metric_->Increment(outcome.accepted);
-    dropped_metric_->Increment(outcome.rejected);
+    admitted_metric_->Increment(accepted);
+    dropped_metric_->Increment(dropped);
     wait_p99_metric_->Set(gated.gate.wait_p99_ms);
   }
 
@@ -148,7 +153,7 @@ Result<GatedPeriodReport> StreamIngress::ClosePeriod() {
     // One probe epoch per period, judged on what the gate actually
     // admitted; the decision replays from (admit history, seed).
     const ProbeDecision decision =
-        probe_.Observe(static_cast<double>(outcome.accepted));
+        probe_.Observe(static_cast<double>(accepted));
     const int classes = static_cast<int>(pools_.size());
     const int per_class = std::max(1, decision.concurrency / classes);
     for (const std::unique_ptr<TicketHolder>& pool : pools_) {

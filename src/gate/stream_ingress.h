@@ -5,9 +5,10 @@
 // ticket-starved requests with a typed retry-after status BEFORE they
 // cost an auction slot — the pre-admission layer the paper's
 // per-period batch model leaves out. Granted submissions buffer in
-// arrival order; the period driver drains them into one
-// ClusterCenter::SubmitBatch + RunPeriod step and gets back the cluster
-// report wrapped with the gate's own accounting.
+// arrival order; the period driver drains them through
+// ClusterCenter::Submit, one by one in that order, runs one RunPeriod,
+// and gets back the cluster report wrapped with the gate's own
+// accounting.
 //
 // Why shed before the auction: a submission that reaches the auction
 // consumes a slot in the shard's candidate set whether or not it wins,
@@ -18,7 +19,7 @@
 //
 // Determinism: tickets bound HOW MANY submissions reach a period, never
 // WHICH result a submission gets — the drain preserves arrival order
-// and calls the same SubmitBatch/RunPeriod path a direct caller would.
+// and calls the same Submit/RunPeriod path a direct caller would.
 // For a closed-loop workload that never exhausts tickets, the gated
 // per-period reports are byte-identical to direct Submit at every
 // executor pool size (tests/gate/gate_replay_test.cc). The throughput
@@ -84,8 +85,8 @@ struct IngressOptions {
   /// Null disables. Must outlive the gate.
   telemetry::MetricsRegistry* metrics = nullptr;
   /// Optional period tracer: each ClosePeriod records one gate_drain
-  /// span (shard -1) covering the buffer swap, the SubmitBatch drain,
-  /// and the ticket recycle. Null disables. Must outlive the gate.
+  /// span (shard -1) covering the buffer swap, the Submit drain, and
+  /// the ticket recycle. Null disables. Must outlive the gate.
   telemetry::PeriodTracer* tracer = nullptr;
 };
 
@@ -130,12 +131,12 @@ class StreamIngress {
   /// capacities.
   Status Offer(stream::QuerySubmission submission);
 
-  /// Drains the buffered submissions (in arrival order) into
-  /// ClusterCenter::SubmitBatch, runs one cluster period, recycles the
-  /// batch's tickets, and — when probing — applies the epoch's probe
-  /// decision to the pools. Driver thread only. An empty buffer still
-  /// runs the period (the cluster admits whatever its shards already
-  /// hold).
+  /// Drains the buffered submissions (in arrival order) through
+  /// ClusterCenter::Submit, counting each refusal as dropped without
+  /// stopping the drain, recycles the batch's tickets, runs one cluster
+  /// period, and — when probing — applies the epoch's probe decision to
+  /// the pools. Driver thread only. An empty buffer still runs the
+  /// period (the cluster admits whatever its shards already hold).
   Result<GatedPeriodReport> ClosePeriod();
 
   int tenant_classes() const {

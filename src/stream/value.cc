@@ -6,18 +6,6 @@
 
 namespace streambid::stream {
 
-const char* ValueTypeName(ValueType type) {
-  switch (type) {
-    case ValueType::kInt64:
-      return "int64";
-    case ValueType::kDouble:
-      return "double";
-    case ValueType::kString:
-      return "string";
-  }
-  return "unknown";
-}
-
 std::string Value::ToString() const {
   switch (type()) {
     case ValueType::kInt64:

@@ -20,9 +20,6 @@ enum class ValueType {
   kString,
 };
 
-/// Returns a stable name for `type` ("int64", "double", "string").
-const char* ValueTypeName(ValueType type);
-
 /// A dynamically typed scalar. Streams carry small tuples of these;
 /// numeric comparisons promote int64 to double.
 class Value {

@@ -38,7 +38,7 @@ namespace streambid::telemetry {
 /// The enum value is the tiebreak of the logical sort key, so phases of
 /// one shard's period always export in pipeline order.
 enum class Phase : int {
-  kGateDrain = 0,  ///< Gate buffer swap + SubmitBatch into the cluster.
+  kGateDrain = 0,  ///< Gate buffer swap + Submit drain into the cluster.
   kPrepare = 1,    ///< Auction build (+ autoscaled candidate grid).
   kAutoscale = 2,  ///< The capacity decision inside prepare.
   kAdmit = 3,      ///< The admission auction on a worker's service.

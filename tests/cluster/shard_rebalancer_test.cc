@@ -202,20 +202,6 @@ TEST(ShardRebalancerTest, InactiveTenantsNeitherLoadNorMove) {
   EXPECT_DOUBLE_EQ(plan.hot_pressure, 0.0);
 }
 
-TEST(ShardRebalancerTest, DrainedShardIsNeverTheDestination) {
-  ShardRebalancer rebalancer(EnabledOptions(), 3);
-  Scenario s = HotColdScenario();
-  s.statuses.resize(3);
-  s.statuses[2].next_capacity = 0.0;  // Idle but drained.
-  s.last_reports.resize(3);
-  const MigrationPlan plan = rebalancer.Plan(
-      s.completed_periods, s.statuses, s.last_reports, s.tenants);
-  ASSERT_FALSE(plan.moves.empty());
-  for (const TenantMove& move : plan.moves) {
-    EXPECT_EQ(move.to, 1);
-  }
-}
-
 TEST(ShardRebalancerTest, SingleShardNeverPlans) {
   ShardRebalancer rebalancer(EnabledOptions(), 1);
   std::vector<ShardStatus> statuses(1);

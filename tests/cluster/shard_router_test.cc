@@ -1,17 +1,13 @@
 // Copyright 2026 The streambid Authors
-// ShardRouter policy tests: hash stability, least-loaded tie-breaking,
-// and the price-aware fallback when no shard has history.
+// ShardRouter policy tests: hash stability, capacity-relative
+// least-loaded tie-breaking, and placement overrides.
 
 #include "cluster/shard_router.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
 #include <set>
 #include <vector>
-
-#include "common/rng.h"
 
 namespace streambid::cluster {
 namespace {
@@ -28,8 +24,6 @@ TEST(ShardRouterTest, PolicyNames) {
   EXPECT_STREQ(RoutingPolicyName(RoutingPolicy::kHashUser), "hash");
   EXPECT_STREQ(RoutingPolicyName(RoutingPolicy::kLeastLoaded),
                "least-loaded");
-  EXPECT_STREQ(RoutingPolicyName(RoutingPolicy::kPriceAware),
-               "price-aware");
 }
 
 TEST(ShardRouterTest, HashIsStableAndMatchesExposedHash) {
@@ -85,89 +79,8 @@ TEST(ShardRouterTest, LeastLoadedTiesToLowestIndex) {
   EXPECT_EQ(router.Route(SubmissionFor(1), shards), 1);
 }
 
-TEST(ShardRouterTest, PriceAwareFallsBackToHashWithoutHistory) {
-  ShardRouter price_router(RoutingPolicy::kPriceAware, 4);
-  ShardRouter hash_router(RoutingPolicy::kHashUser, 4);
-  const std::vector<ShardStatus> shards(4);  // No history anywhere.
-  for (auction::UserId user = 0; user < 50; ++user) {
-    EXPECT_EQ(price_router.Route(SubmissionFor(user), shards),
-              hash_router.Route(SubmissionFor(user), shards))
-        << user;
-  }
-}
-
-TEST(ShardRouterTest, PriceAwarePrefersCheapestClearing) {
-  ShardRouter router(RoutingPolicy::kPriceAware, 3);
-  std::vector<ShardStatus> shards(3);
-  for (ShardStatus& s : shards) s.has_history = true;
-  shards[0].last_clearing_price = 9.0;
-  shards[1].last_clearing_price = 2.0;
-  shards[2].last_clearing_price = 4.0;
-  EXPECT_EQ(router.Route(SubmissionFor(1), shards), 1);
-}
-
-TEST(ShardRouterTest, PriceAwareBreaksTiesByAdmissionRate) {
-  ShardRouter router(RoutingPolicy::kPriceAware, 3);
-  std::vector<ShardStatus> shards(3);
-  for (ShardStatus& s : shards) {
-    s.has_history = true;
-    s.last_clearing_price = 3.0;
-  }
-  shards[0].last_admission_rate = 0.4;
-  shards[1].last_admission_rate = 0.9;
-  shards[2].last_admission_rate = 0.9;  // Equal to 1: first wins.
-  EXPECT_EQ(router.Route(SubmissionFor(1), shards), 1);
-}
-
-TEST(ShardRouterTest, PriceAwareExploresShardsWithoutHistory) {
-  ShardRouter router(RoutingPolicy::kPriceAware, 3);
-  std::vector<ShardStatus> shards(3);
-  // Shard 2 cleared at a positive price; shards 0-1 never saw traffic.
-  // Unexplored capacity is optimistically price 0, so shard 0 (lowest
-  // index among the unexplored) attracts the submission.
-  shards[2].has_history = true;
-  shards[2].last_clearing_price = 8.0;
-  shards[2].last_admission_rate = 1.0;
-  EXPECT_EQ(router.Route(SubmissionFor(1), shards), 0);
-  // A free-clearing shard ties unexplored ones on price; its rate 1.0
-  // ties their optimistic rate too, so the lowest index still wins.
-  shards[2].last_clearing_price = 0.0;
-  EXPECT_EQ(router.Route(SubmissionFor(1), shards), 0);
-}
-
-// --- Autoscaled (shrinking/growing) shard capacities: a shard whose
-// next-period provisioning hit zero is drained and must never be
-// targeted by any policy while an alternative exists. ---
-
-TEST(ShardRouterTest, HashProbesPastDrainedShard) {
-  ShardRouter router(RoutingPolicy::kHashUser, 4);
-  std::vector<ShardStatus> shards(4);
-  const auction::UserId user = 9;
-  const int home = router.Route(SubmissionFor(user), shards);
-  shards[static_cast<size_t>(home)].next_capacity = 0.0;
-  const int rerouted = router.Route(SubmissionFor(user), shards);
-  EXPECT_NE(rerouted, home);
-  EXPECT_EQ(rerouted, (home + 1) % 4);  // Forward probe, deterministic.
-  // Recovery: once the shard is provisioned again, the stable
-  // placement snaps back.
-  shards[static_cast<size_t>(home)].next_capacity = 1.5;
-  EXPECT_EQ(router.Route(SubmissionFor(user), shards), home);
-}
-
-TEST(ShardRouterTest, LeastLoadedSkipsDrainedShard) {
-  ShardRouter router(RoutingPolicy::kLeastLoaded, 3);
-  std::vector<ShardStatus> shards(3);
-  shards[0].pending_load = 1.0;
-  shards[0].next_capacity = 0.0;  // Emptiest but drained.
-  shards[1].pending_load = 5.0;
-  shards[1].next_capacity = 2.0;  // 2.5x oversubscribed.
-  shards[2].pending_load = 3.0;
-  shards[2].next_capacity = 0.5;  // Shrunk AND 6x oversubscribed.
-  EXPECT_EQ(router.Route(SubmissionFor(1), shards), 1);
-}
-
 // --- Capacity-relative least-loaded: raw pending load must not make a
-// half-drained autoscaled shard look as roomy as a full one. ---
+// shrunk autoscaled shard look as roomy as a full one. ---
 
 TEST(ShardRouterTest, LeastLoadedComparesLoadRelativeToCapacity) {
   ShardRouter router(RoutingPolicy::kLeastLoaded, 2);
@@ -184,165 +97,17 @@ TEST(ShardRouterTest, LeastLoadedComparesLoadRelativeToCapacity) {
   EXPECT_EQ(router.Route(SubmissionFor(1), shards), 0);
 }
 
-TEST(ShardRouterTest, LeastLoadedUnknownCapacityComparesAtUnit) {
-  ShardRouter router(RoutingPolicy::kLeastLoaded, 2);
-  std::vector<ShardStatus> shards(2);
-  // No owner-tracked provisioning anywhere: the comparison degrades to
-  // the raw pending loads (capacity 1 assumed), the pre-autoscaling
-  // behavior.
-  shards[0].pending_load = 5.0;
-  shards[1].pending_load = 1.0;
-  EXPECT_EQ(router.Route(SubmissionFor(1), shards), 1);
-}
-
-TEST(ShardRouterTest, PriceAwareSkipsDrainedShard) {
-  ShardRouter router(RoutingPolicy::kPriceAware, 3);
-  std::vector<ShardStatus> shards(3);
-  for (ShardStatus& s : shards) s.has_history = true;
-  shards[0].last_clearing_price = 1.0;  // Cheapest but drained.
-  shards[0].next_capacity = 0.0;
-  shards[1].last_clearing_price = 4.0;
-  shards[1].next_capacity = 3.0;
-  shards[2].last_clearing_price = 2.0;
-  shards[2].next_capacity = 1.0;
-  EXPECT_EQ(router.Route(SubmissionFor(1), shards), 2);
-}
-
-TEST(ShardRouterTest, PriceAwareIgnoresDrainedHistoryForFallback) {
-  ShardRouter router(RoutingPolicy::kPriceAware, 2);
-  std::vector<ShardStatus> shards(2);
-  // The only shard with history is drained: price comparison has no
-  // eligible data, so routing falls back to the (probing) hash and
-  // must land on the live shard.
-  shards[0].has_history = true;
-  shards[0].last_clearing_price = 1.0;
-  shards[0].next_capacity = 0.0;
-  shards[1].next_capacity = 2.0;
-  for (auction::UserId user = 0; user < 16; ++user) {
-    EXPECT_EQ(router.Route(SubmissionFor(user), shards), 1) << user;
-  }
-}
-
-TEST(ShardRouterTest, NeverTargetsZeroCapacityShard) {
-  // Randomized shrink/grow sweep: whatever the provisioning pattern,
-  // no policy may target a drained shard while any shard is live.
-  Rng rng(0xD2A1Eull);
-  for (const RoutingPolicy policy :
-       {RoutingPolicy::kHashUser, RoutingPolicy::kLeastLoaded,
-        RoutingPolicy::kPriceAware}) {
-    ShardRouter router(policy, 5);
-    for (int round = 0; round < 200; ++round) {
-      std::vector<ShardStatus> shards(5);
-      bool any_live = false;
-      for (ShardStatus& s : shards) {
-        // Autoscaled capacities: zero (drained), shrunk, or grown.
-        const double capacity = rng.NextBool(0.4)
-                                    ? 0.0
-                                    : rng.NextRange(0.25, 4.0);
-        s.next_capacity = capacity;
-        any_live = any_live || capacity > 0.0;
-        s.has_history = rng.NextBool(0.7);
-        s.last_clearing_price = rng.NextRange(0.0, 8.0);
-        s.last_admission_rate = rng.NextRange(0.0, 1.0);
-        s.pending_load = rng.NextRange(0.0, 10.0);
-      }
-      if (!any_live) continue;
-      const int target = router.Route(
-          SubmissionFor(static_cast<auction::UserId>(round)), shards);
-      EXPECT_TRUE(ShardRouter::Eligible(
-          shards[static_cast<size_t>(target)]))
-          << RoutingPolicyName(policy) << " round " << round;
-    }
-  }
-}
-
-TEST(ShardRouterTest, AllShardsDrainedFallsBackToStableHash) {
-  ShardRouter router(RoutingPolicy::kLeastLoaded, 4);
-  std::vector<ShardStatus> shards(4);
-  for (ShardStatus& s : shards) s.next_capacity = 0.0;
-  for (auction::UserId user = 0; user < 20; ++user) {
-    EXPECT_EQ(router.Route(SubmissionFor(user), shards),
-              static_cast<int>(ShardRouter::HashUser(user) % 4ull))
-        << user;
-  }
-}
-
-TEST(ShardRouterTest, UnknownNextCapacityStaysEligible) {
-  ShardStatus status;  // next_capacity unset: owner tracks nothing.
-  EXPECT_TRUE(ShardRouter::Eligible(status));
-  status.next_capacity = 0.0;
-  EXPECT_FALSE(ShardRouter::Eligible(status));
-  status.next_capacity = 0.75;
-  EXPECT_TRUE(ShardRouter::Eligible(status));
-}
-
-// --- Price ties under tolerance: clearing prices are revenue/admitted,
-// and bit-level noise in that division must not flip routing. ---
-
-TEST(ShardRouterTest, PriceTieToleratesBitLevelNoise) {
-  ShardRouter router(RoutingPolicy::kPriceAware, 2);
-  std::vector<ShardStatus> shards(2);
-  for (ShardStatus& s : shards) s.has_history = true;
-  // One ulp apart — the kind of difference a different summation order
-  // produces. Exact == would route on the noise; the tolerant tie-break
-  // must fall through to the admission rate.
-  const double price = 3.0;
-  shards[0].last_clearing_price = price;
-  shards[1].last_clearing_price =
-      std::nextafter(price, std::numeric_limits<double>::infinity());
-  shards[0].last_admission_rate = 0.2;
-  shards[1].last_admission_rate = 0.9;
-  EXPECT_EQ(router.Route(SubmissionFor(1), shards), 1);
-  // A genuinely cheaper shard still wins regardless of rate.
-  shards[1].last_clearing_price = price * 0.9;
-  shards[1].last_admission_rate = 0.0;
-  EXPECT_EQ(router.Route(SubmissionFor(1), shards), 1);
-}
-
-TEST(ShardRouterTest, PricesTieSemantics) {
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_TRUE(ShardRouter::PricesTie(3.0, 3.0));
-  EXPECT_TRUE(ShardRouter::PricesTie(0.0, 0.0));
-  EXPECT_TRUE(
-      ShardRouter::PricesTie(1e6, std::nextafter(1e6, 2e6)));
-  EXPECT_FALSE(ShardRouter::PricesTie(3.0, 3.1));
-  // Pinned infinity behavior: saturated shards tie each other and
-  // never tie a finite clearing.
-  EXPECT_TRUE(ShardRouter::PricesTie(inf, inf));
-  EXPECT_FALSE(ShardRouter::PricesTie(inf, 1e18));
-  EXPECT_FALSE(ShardRouter::PricesTie(0.0, inf));
-}
-
-TEST(ShardRouterTest, BothShardsSaturatedTieOnRateThenIndex) {
-  ShardRouter router(RoutingPolicy::kPriceAware, 2);
-  std::vector<ShardStatus> shards(2);
-  const double inf = std::numeric_limits<double>::infinity();
-  for (ShardStatus& s : shards) {
-    s.has_history = true;
-    s.last_clearing_price = inf;
-    s.last_admission_rate = 0.0;
-  }
-  // inf vs inf is a tie (never NaN arithmetic): equal rates keep the
-  // lowest index.
-  EXPECT_EQ(router.Route(SubmissionFor(1), shards), 0);
-  shards[1].last_admission_rate = 0.1;
-  EXPECT_EQ(router.Route(SubmissionFor(1), shards), 1);
-}
-
 // --- Placement overrides: the rebalancer pins migrated tenants; every
 // policy must follow the current placement, not the original hash. ---
 
 TEST(ShardRouterTest, OverrideWinsUnderEveryPolicy) {
   std::vector<ShardStatus> shards(4);
-  shards[2].pending_load = 1e9;             // Worst least-loaded choice.
-  for (ShardStatus& s : shards) s.has_history = true;
-  shards[2].last_clearing_price = 1e9;      // Worst price-aware choice.
+  shards[2].pending_load = 1e9;  // Worst least-loaded choice.
   PlacementOverrides overrides;
   const auction::UserId user = 7;
   overrides[user] = 2;
   for (const RoutingPolicy policy :
-       {RoutingPolicy::kHashUser, RoutingPolicy::kLeastLoaded,
-        RoutingPolicy::kPriceAware}) {
+       {RoutingPolicy::kHashUser, RoutingPolicy::kLeastLoaded}) {
     ShardRouter router(policy, 4);
     EXPECT_EQ(router.Route(SubmissionFor(user), shards, &overrides), 2)
         << RoutingPolicyName(policy);
@@ -351,33 +116,6 @@ TEST(ShardRouterTest, OverrideWinsUnderEveryPolicy) {
               router.Route(SubmissionFor(user + 1), shards))
         << RoutingPolicyName(policy);
   }
-}
-
-TEST(ShardRouterTest, OverrideProbesPastDrainedHomeAndSnapsBack) {
-  ShardRouter router(RoutingPolicy::kHashUser, 4);
-  std::vector<ShardStatus> shards(4);
-  PlacementOverrides overrides;
-  overrides[7] = 2;
-  shards[2].next_capacity = 0.0;  // Pinned home drained.
-  EXPECT_EQ(router.Route(SubmissionFor(7), shards, &overrides), 3);
-  shards[2].next_capacity = 1.0;  // Recovered: placement snaps back.
-  EXPECT_EQ(router.Route(SubmissionFor(7), shards, &overrides), 2);
-}
-
-TEST(ShardRouterTest, PriceAwareAvoidsSaturatedShards) {
-  ShardRouter router(RoutingPolicy::kPriceAware, 2);
-  std::vector<ShardStatus> shards(2);
-  // Shard 0 admitted nobody last period (clearing marked infinite by
-  // the cluster); shard 1 cleared at a high-but-finite price and must
-  // still win — saturation repels, it does not read as free service.
-  shards[0].has_history = true;
-  shards[0].last_clearing_price =
-      std::numeric_limits<double>::infinity();
-  shards[0].last_admission_rate = 0.0;
-  shards[1].has_history = true;
-  shards[1].last_clearing_price = 1e6;
-  shards[1].last_admission_rate = 0.2;
-  EXPECT_EQ(router.Route(SubmissionFor(1), shards), 1);
 }
 
 }  // namespace

@@ -55,11 +55,5 @@ TEST(ValueTest, DefaultIsZeroInt) {
   EXPECT_EQ(v.AsInt64(), 0);
 }
 
-TEST(ValueTypeTest, Names) {
-  EXPECT_STREQ(ValueTypeName(ValueType::kInt64), "int64");
-  EXPECT_STREQ(ValueTypeName(ValueType::kDouble), "double");
-  EXPECT_STREQ(ValueTypeName(ValueType::kString), "string");
-}
-
 }  // namespace
 }  // namespace streambid::stream
