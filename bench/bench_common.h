@@ -42,8 +42,8 @@ struct BenchConfig {
 BenchConfig LoadConfig();
 
 /// Extracts one scalar from an admission response (profit, admission
-/// rate, ...). Responses carry the §VI metrics and diagnostics; benches
-/// no longer recompute them.
+/// rate, ...). Responses carry the §VI metrics; benches no longer
+/// recompute them.
 using MetricFn =
     std::function<double(const service::AdmissionResponse&)>;
 

@@ -44,11 +44,9 @@ void RunMechanism(benchmark::State& state, const std::string& name) {
   request.instance = &SharedInstance();
   request.capacity = 15000.0;
   request.mechanism = name;
-  // Metrics and O(n) diagnostics off: Table IV times the mechanism,
-  // not the §VI bookkeeping (the residual service overhead is a name
-  // lookup, a reseed, and the count diagnostics — O(1) + O(n) bits).
+  // Metrics off: Table IV times the mechanism, not the §VI bookkeeping
+  // (the residual service overhead is a name lookup and a reseed).
   request.options.compute_metrics = false;
-  request.options.compute_diagnostics = false;
   uint64_t seed = 0;
   for (auto _ : state) {
     request.seed = ++seed;

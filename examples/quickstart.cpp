@@ -5,9 +5,9 @@
 //   q1 = {A, B} bid $55;  q2 = {A, C} bid $72;  q3 = {D, E} bid $100,
 // with loads A=4, B=1, C=2, D=6, E=4 and operator A shared by q1/q2.
 // One AdmitAll call auctions the instance under every registered
-// mechanism and returns winners, payments, the §VI metrics, and
-// diagnostics. Expected (paper §IV): CAR charges $10/$60, CAF $30/$40,
-// CAT $50/$60, all admitting {q1, q2}.
+// mechanism and returns winners, payments, the §VI metrics, and the
+// mechanism's wall clock. Expected (paper §IV): CAR charges $10/$60,
+// CAF $30/$40, CAT $50/$60, all admitting {q1, q2}.
 //
 // Build & run:  ./build/examples/quickstart
 
@@ -63,7 +63,7 @@ int main() {
         winners += (winners.empty() ? "q" : ",q") + std::to_string(q + 1);
       }
     }
-    table.AddRow({response.diagnostics.mechanism,
+    table.AddRow({alloc.mechanism,
                   winners.empty() ? "-" : winners,
                   FormatDouble(alloc.Payment(0), 2),
                   FormatDouble(alloc.Payment(1), 2),

@@ -2,8 +2,8 @@
 // Stock-monitoring scenario (the paper's §I/§II motivating workload):
 // tenants register continuous queries over shared stock-quote and news
 // streams; the provider estimates operator loads, auctions admission
-// with the sybil-strategyproof CAT mechanism, installs the winners
-// through the §II transition phase, and executes a (compressed) trading
+// with the sybil-strategyproof CAT mechanism, installs the winners at
+// the period boundary (§II), and executes a (compressed) trading
 // day — then re-auctions using MEASURED loads.
 //
 // Build & run:  ./build/examples/stock_monitoring
@@ -113,15 +113,13 @@ int main() {
               engine.options().capacity, metrics.profit,
               FormatPercent(metrics.admission_rate, 0).c_str());
 
-  // --- Transition phase: install winners, execute the day. ------------
-  engine.BeginTransition();
+  // --- Period boundary: install winners, execute the day. ------------
   for (size_t i = 0; i < submissions.size(); ++i) {
     if (alloc.IsAdmitted(static_cast<auction::QueryId>(i))) {
       (void)engine.InstallQuery(submissions[i].query_id,
                                 submissions[i].plan);
     }
   }
-  (void)engine.CommitTransition();
   engine.Run(/*duration=*/600.0);  // A compressed "day".
 
   TextTable outcome(

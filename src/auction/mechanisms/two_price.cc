@@ -41,8 +41,8 @@ double OptimalSinglePrice(const std::vector<double>& sorted_desc,
 
 class TwoPriceMechanism : public Mechanism {
  public:
-  TwoPriceMechanism(std::string name, const TwoPriceOptions& options)
-      : name_(std::move(name)), options_(options) {}
+  TwoPriceMechanism(std::string name, bool exhaustive_step3)
+      : name_(std::move(name)), exhaustive_step3_(exhaustive_step3) {}
 
   const std::string& name() const override { return name_; }
 
@@ -78,8 +78,7 @@ class TwoPriceMechanism : public Mechanism {
     }
 
     // Step 3: duplicate adjustment at the H/L boundary.
-    if (options_.exhaustive_step3 && scan.first_loser_pos >= 0 &&
-        !h.empty()) {
+    if (exhaustive_step3_ && scan.first_loser_pos >= 0 && !h.empty()) {
       const QueryId first_lost =
           order[static_cast<size_t>(scan.first_loser_pos)];
       const double v_l = instance.bid(first_lost);
@@ -184,24 +183,19 @@ class TwoPriceMechanism : public Mechanism {
   }
 
   std::string name_;
-  TwoPriceOptions options_;
+  bool exhaustive_step3_;
 };
 
 }  // namespace
 
 MechanismPtr MakeTwoPrice() {
-  return std::make_unique<TwoPriceMechanism>("two-price", TwoPriceOptions{});
+  return std::make_unique<TwoPriceMechanism>("two-price",
+                                             /*exhaustive_step3=*/true);
 }
 
 MechanismPtr MakeTwoPricePoly() {
-  TwoPriceOptions options;
-  options.exhaustive_step3 = false;
-  return std::make_unique<TwoPriceMechanism>("two-price-poly", options);
-}
-
-MechanismPtr MakeTwoPriceWithOptions(const TwoPriceOptions& options) {
-  return std::make_unique<TwoPriceMechanism>(
-      options.exhaustive_step3 ? "two-price" : "two-price-poly", options);
+  return std::make_unique<TwoPriceMechanism>("two-price-poly",
+                                             /*exhaustive_step3=*/false);
 }
 
 }  // namespace streambid::auction

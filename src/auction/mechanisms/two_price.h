@@ -14,22 +14,13 @@
 
 namespace streambid::auction {
 
-/// Options for the Two-price mechanism.
-struct TwoPriceOptions {
-  /// Run the exhaustive Step 3 (subset search over the duplicate set D).
-  /// The paper notes this step is exponential in |D|; disabling it gives
-  /// the polynomial-time variant of Theorem 12.
-  bool exhaustive_step3 = true;
-};
-
-/// Builds the Two-price mechanism ("two-price"), exhaustive Step 3.
+/// Builds the Two-price mechanism ("two-price") with the exhaustive
+/// Step 3 (a subset search over the duplicate set D, exponential in |D|).
 MechanismPtr MakeTwoPrice();
 
-/// Builds the polynomial-time variant ("two-price-poly"), Step 3 omitted.
+/// Builds the polynomial-time variant ("two-price-poly"), Step 3 omitted
+/// (Theorem 12).
 MechanismPtr MakeTwoPricePoly();
-
-/// Builds a Two-price mechanism with explicit options (ablation benches).
-MechanismPtr MakeTwoPriceWithOptions(const TwoPriceOptions& options);
 
 }  // namespace streambid::auction
 

@@ -27,6 +27,8 @@ constexpr double kTargetHeadroom = 1.25;
 constexpr double kMinImprovementRatio = 0.02;
 /// Averaging trials per candidate for randomized mechanisms.
 constexpr int kTrials = 1;
+/// Periods of history kept for the demand estimate.
+constexpr size_t kWindow = 4;
 
 }  // namespace
 
@@ -35,12 +37,10 @@ CapacityAutoscaler::CapacityAutoscaler(const AutoscalerOptions& options,
     : options_(options), baseline_(baseline_capacity) {
   STREAMBID_CHECK_GT(baseline_capacity, 0.0);
   STREAMBID_CHECK_GT(options.min_capacity_ratio, 0.0);
-  STREAMBID_CHECK_LE(options.min_capacity_ratio,
-                     options.max_capacity_ratio);
-  STREAMBID_CHECK_GE(options.window, 1);
+  STREAMBID_CHECK_LE(options.min_capacity_ratio, 1.0);
   STREAMBID_CHECK_GE(options.min_dwell_periods, 1);
   STREAMBID_CHECK_GT(options.max_step_ratio, 0.0);
-  capacity_ = std::clamp(baseline_, min_capacity(), max_capacity());
+  capacity_ = baseline_;
   // The initial capacity has served no period yet, so the first
   // decision is free to move; thereafter the dwell counter tracks how
   // many periods the current capacity has served.
@@ -49,7 +49,7 @@ CapacityAutoscaler::CapacityAutoscaler(const AutoscalerOptions& options,
 
 void CapacityAutoscaler::Observe(const PeriodObservation& observation) {
   window_.push_back(observation);
-  while (window_.size() > static_cast<size_t>(options_.window)) {
+  while (window_.size() > kWindow) {
     window_.pop_front();
   }
 }

@@ -4,7 +4,7 @@
 // provision its full capacity: "it might be more profitable not to
 // fully utilize the available capacity". The CapacityAutoscaler closes
 // that loop: it watches a rolling window of period outcomes (measured
-// vs auction utilization, revenue, shedding), derives a
+// vs auction utilization, shedding), derives a
 // utilization-tracking demand estimate, and at each period boundary
 // runs OptimizeCapacity over a candidate grid centered on that
 // estimate — under hysteresis (minimum dwell between changes, maximum
@@ -29,19 +29,15 @@
 
 namespace streambid::cloud {
 
-/// Autoscaler configuration. Capacity bounds are expressed as ratios of
-/// the baseline (installed) capacity: the autoscaler decides how much of
-/// the hardware to power, it cannot conjure servers beyond it.
+/// Autoscaler configuration. The baseline (installed) capacity is the
+/// upper provisioning bound: the autoscaler decides how much of the
+/// hardware to power, it cannot conjure servers beyond it.
 struct AutoscalerOptions {
   /// Master switch; when false the owning center never re-provisions.
   bool enabled = false;
   /// Lower provisioning bound, as a fraction of the baseline capacity.
   /// Must stay strictly positive: a zero-capacity engine cannot run.
   double min_capacity_ratio = 0.25;
-  /// Upper provisioning bound, as a fraction of the baseline capacity.
-  double max_capacity_ratio = 1.0;
-  /// Periods of history kept for the demand estimate.
-  int window = 4;
   /// Hysteresis: a new capacity must be held for at least this many
   /// periods before the next change (1 = may change every period).
   int min_dwell_periods = 2;
@@ -80,12 +76,9 @@ struct PeriodObservation {
   double provisioned_capacity = 0.0;
   double measured_utilization = 0.0;
   double auction_utilization = 0.0;
-  double revenue = 0.0;
   /// Fraction of arriving tuples shed by engine overload protection —
   /// a shed period's true demand exceeded what the engine admitted.
   double shed_fraction = 0.0;
-  int submissions = 0;
-  int admitted = 0;
 };
 
 /// The closed-loop capacity controller. Not thread-safe; one per
@@ -93,12 +86,12 @@ struct PeriodObservation {
 class CapacityAutoscaler {
  public:
   /// Preconditions (checked): baseline_capacity > 0, 0 <
-  /// min_capacity_ratio <= max_capacity_ratio, window >= 1,
-  /// min_dwell_periods >= 1, max_step_ratio > 0.
+  /// min_capacity_ratio <= 1, min_dwell_periods >= 1, max_step_ratio > 0.
   CapacityAutoscaler(const AutoscalerOptions& options,
                      double baseline_capacity);
 
-  /// Records a completed period into the rolling window.
+  /// Records a completed period into the rolling window of the newest
+  /// four.
   void Observe(const PeriodObservation& observation);
 
   /// Proposes the capacity for the upcoming period. `instance` is the
@@ -113,16 +106,14 @@ class CapacityAutoscaler {
                                     const auction::AuctionInstance* instance,
                                     uint64_t seed);
 
-  /// The capacity the next period should run at (baseline clamped into
-  /// bounds before the first Propose).
+  /// The capacity the next period should run at (the baseline before
+  /// the first Propose).
   double capacity() const { return capacity_; }
   double baseline_capacity() const { return baseline_; }
   double min_capacity() const {
     return baseline_ * options_.min_capacity_ratio;
   }
-  double max_capacity() const {
-    return baseline_ * options_.max_capacity_ratio;
-  }
+  double max_capacity() const { return baseline_; }
   const AutoscalerOptions& options() const { return options_; }
   const std::deque<PeriodObservation>& window() const { return window_; }
 

@@ -20,9 +20,6 @@ DsmsCenter::DsmsCenter(const DsmsCenterOptions& options,
   STREAMBID_CHECK(service_.HasMechanism(options.mechanism));
   if (options_.autoscale.enabled) {
     autoscaler_.emplace(options_.autoscale, engine_->options().capacity);
-    // The controller may clamp the baseline into its bounds; the engine
-    // must start the first period at the controller's capacity.
-    engine_->SetCapacity(autoscaler_->capacity());
   }
   if (options_.metrics != nullptr) {
     telemetry::MetricsRegistry& metrics = *options_.metrics;
@@ -162,8 +159,7 @@ Result<PeriodReport> DsmsCenter::CompletePeriod(
     report.auction_elapsed_ms = response->elapsed_ms;
   }
 
-  // --- Transition phase: expired queries out, winners in (§II). ---
-  engine_->BeginTransition();
+  // --- Period boundary: expired queries out, winners in (§II). ---
   for (int qid : active_) {
     STREAMBID_RETURN_IF_ERROR(engine_->UninstallQuery(qid));
   }
@@ -182,7 +178,6 @@ Result<PeriodReport> DsmsCenter::CompletePeriod(
     report.admitted_ids.push_back(sub.query_id);
   }
   report.admitted = static_cast<int>(report.admitted_ids.size());
-  STREAMBID_RETURN_IF_ERROR(engine_->CommitTransition());
   pending_.clear();
   pending_estimates_.clear();
   pending_ids_.clear();
@@ -200,10 +195,7 @@ Result<PeriodReport> DsmsCenter::CompletePeriod(
     observation.provisioned_capacity = report.provisioned_capacity;
     observation.measured_utilization = report.measured_utilization;
     observation.auction_utilization = report.auction_utilization;
-    observation.revenue = report.revenue;
     observation.shed_fraction = report.shed_fraction;
-    observation.submissions = report.submissions;
-    observation.admitted = report.admitted;
     autoscaler_->Observe(observation);
   }
 

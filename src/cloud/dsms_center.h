@@ -1,9 +1,10 @@
 // Copyright 2026 The streambid Authors
 // The DSMS "cloud center" of paper §I-II: a for-profit service that, at
 // the end of each subscription period, auctions the next period's server
-// capacity among submitted continuous queries, installs the winners into
-// the stream engine through the §II transition phase, executes the
-// period, and bills the winners the mechanism's payments. Auctions run
+// capacity among submitted continuous queries, swaps the engine's query
+// network at the boundary (the §II transition phase: expired queries
+// out, winners in, between two engine runs), executes the period, and
+// bills the winners the mechanism's payments. Auctions run
 // through an AdmissionService; the per-period request stream is
 // (options.seed, period), so any period's auction replays in isolation.
 
@@ -174,8 +175,9 @@ class DsmsCenter {
   Result<double> Submit(stream::QuerySubmission submission);
 
   /// Ends the current period: runs the auction over pending
-  /// submissions, transitions the engine (expired queries out, winners
-  /// in), executes one period of stream processing, and bills winners.
+  /// submissions, swaps the engine's queries (expired queries out,
+  /// winners in), executes one period of stream processing, and bills
+  /// winners.
   /// Queries run for exactly one period; users must resubmit to renew
   /// (see SubscriptionManager for the §VII multi-period extension).
   /// Equivalent to PrepareAuction + Admit on the own service +
@@ -206,7 +208,7 @@ class DsmsCenter {
   /// contract as PrepareAuction.
   void set_trace_epoch(uint64_t epoch) { trace_epoch_ = epoch; }
 
-  /// Applies an admission outcome and finishes the period: transition,
+  /// Applies an admission outcome and finishes the period: query swap,
   /// execution, billing, history. `response` must be the result of
   /// admitting the PreparedAuction request (null iff there was no
   /// auction; kInvalidArgument when submissions are pending but the

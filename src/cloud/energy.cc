@@ -5,6 +5,7 @@
 #include <cmath>
 #include <string>
 
+#include "auction/metrics.h"
 #include "common/check.h"
 
 namespace streambid::cloud {
@@ -60,8 +61,8 @@ Result<std::vector<CapacityEvaluation>> EvaluateCapacities(
     for (int t = 0; t < trials; ++t, ++r) {
       const service::AdmissionResponse& response = responses[r];
       profit += response.metrics.profit;
-      used += response.diagnostics.used_capacity;
-      admitted += response.diagnostics.admitted_count;
+      used += auction::UsedCapacity(instance, response.allocation);
+      admitted += response.allocation.NumAdmitted();
     }
     eval.gross_profit = profit / trials;
     const double mean_used = used / trials;

@@ -47,8 +47,7 @@ ClusterCenter::ClusterCenter(const ClusterOptions& options,
     center_options.tracer = options.tracer;
     shard.center = std::make_unique<cloud::DsmsCenter>(center_options,
                                                        shard.engine.get());
-    // The router sees each shard's provisioning from the start (the
-    // autoscaler may have clamped the baseline into its bounds).
+    // The router sees each shard's provisioning from the start.
     statuses_[static_cast<size_t>(s)].next_capacity =
         shard.engine->options().capacity;
     shards_.push_back(std::move(shard));
@@ -108,7 +107,7 @@ Result<cloud::PeriodReport> ClusterCenter::RunShardPeriod(
                                context.service->Admit(prepared.request));
     response = &admitted;
   }
-  // Stage 3: transition + engine execution + billing.
+  // Stage 3: query swap + engine execution + billing.
   telemetry::ScopedSpan span(tracer, telemetry::Phase::kComplete, period, s,
                              epoch);
   return center.CompletePeriod(response);
@@ -138,8 +137,8 @@ Result<ClusterPeriodReport> ClusterCenter::MergeCompleted(
   // router's best view of the shard's next-period capacity. This runs
   // before any failure surfaces so a partial failure does not leave
   // stale pending-load bias on the surviving shards (a failed shard
-  // itself is unrecoverable — its engine may be mid-transition —
-  // matching DsmsCenter::RunPeriod error semantics). ---
+  // itself is unrecoverable — its engine may hold a half-swapped query
+  // set — matching DsmsCenter::RunPeriod error semantics). ---
   Status first_error;
   for (int s = 0; s < n; ++s) {
     const Result<cloud::PeriodReport>& result =

@@ -11,7 +11,7 @@
 // shard as a single RunAll batch on the pool, then merges:
 //
 //   shard k:  PrepareAuction ──▶ Admit (worker service) ──▶ CompletePeriod
-//             (autoscaler grid)                             (transition +
+//             (autoscaler grid)                             (query swap +
 //                                                            engine + bill)
 //
 // Chains are mutually independent (a shard's service, engine, ledger,

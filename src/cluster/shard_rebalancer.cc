@@ -9,13 +9,20 @@
 
 namespace streambid::cluster {
 
+namespace {
+
+/// Required relative pressure gap: the hot shard's demand/capacity must
+/// exceed the cold shard's by this fraction before any move.
+constexpr double kMinPressureGap = 0.25;
+
+}  // namespace
+
 ShardRebalancer::ShardRebalancer(const RebalancerOptions& options,
                                  int num_shards)
     : options_(options), num_shards_(num_shards) {
   STREAMBID_CHECK_GE(num_shards, 1);
   if (options.enabled) {
     STREAMBID_CHECK_GE(options.max_moves_per_period, 1);
-    STREAMBID_CHECK_GE(options.min_pressure_gap, 0.0);
     STREAMBID_CHECK_GE(options.tenant_cooldown_periods, 0);
   }
 }
@@ -90,9 +97,7 @@ MigrationPlan ShardRebalancer::Plan(
   // (revenue on the floor, not just an estimate artifact), and the
   // hot/cold gap must be wide enough to be signal.
   if (hot_pressure <= 1.0) return plan;
-  if (hot_pressure <= cold_pressure * (1.0 + options_.min_pressure_gap)) {
-    return plan;
-  }
+  if (hot_pressure <= cold_pressure * (1.0 + kMinPressureGap)) return plan;
   if (!last_reports.empty()) {
     const cloud::PeriodReport& hot_report =
         last_reports[static_cast<size_t>(hot)];

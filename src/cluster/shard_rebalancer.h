@@ -20,7 +20,8 @@
 //  - a plan is only emitted when the hot shard's recent demand exceeds
 //    its next-period capacity AND it rejected work in the last period
 //    (there is actual revenue to recover, not just noise);
-//  - the hot/cold pressure gap must exceed min_pressure_gap;
+//  - the hot shard's demand/capacity must exceed the cold shard's by
+//    more than 25%;
 //  - each move must keep the destination strictly less pressured than
 //    the source after the move (a move can narrow the gap, never
 //    invert it);
@@ -51,9 +52,6 @@ struct RebalancerOptions {
   int min_history_periods = 2;
   /// A migrated tenant stays put for this many periods.
   int tenant_cooldown_periods = 3;
-  /// Required relative pressure gap: the hot shard's demand/capacity
-  /// must exceed the cold shard's by this fraction before any move.
-  double min_pressure_gap = 0.25;
   /// Tie-break stream for tenants with exactly equal load; part of the
   /// (history, seed) determinism contract.
   uint64_t seed = 1;
@@ -96,7 +94,7 @@ struct MigrationPlan {
 class ShardRebalancer {
  public:
   /// Preconditions (checked): num_shards >= 1; when enabled,
-  /// max_moves_per_period >= 1 and min_pressure_gap >= 0.
+  /// max_moves_per_period >= 1 and tenant_cooldown_periods >= 0.
   ShardRebalancer(const RebalancerOptions& options, int num_shards);
 
   /// Plans the migrations to apply before the next period.

@@ -33,7 +33,6 @@ auction::Allocation RunAuction(service::AdmissionService& service,
   request.seed = seed;
   request.request_index = trial;
   request.options.compute_metrics = false;
-  request.options.compute_diagnostics = false;
   auto response = service.Admit(request);
   STREAMBID_CHECK(response.ok());
   return std::move(response).value().allocation;
@@ -55,7 +54,6 @@ double ExpectedUserPayoff(service::AdmissionService& service,
   request.mechanism = std::string(mechanism);
   request.seed = seed;
   request.options.compute_metrics = false;
-  request.options.compute_diagnostics = false;
   double total = 0.0;
   for (int t = 0; t < trials; ++t) {
     request.request_index = static_cast<uint32_t>(t);

@@ -75,10 +75,7 @@ Result<GatedPeriodReport> StreamIngress::ClosePeriod() {
   // The drain span is recorded manually (not via ScopedSpan) because
   // its logical key — the cluster period number and epoch — is only
   // known after RunPeriod returns.
-  telemetry::PeriodTracer* tracer =
-      options_.tracer != nullptr && options_.tracer->enabled()
-          ? options_.tracer
-          : nullptr;
+  telemetry::PeriodTracer* tracer = options_.tracer;
   const double drain_start_ms = tracer != nullptr ? tracer->NowMs() : 0.0;
 
   // Atomically steal the open period's batch and counters; Offers that

@@ -10,6 +10,16 @@
 
 namespace streambid::gate {
 
+namespace {
+
+/// Probe step as a fraction of the stable concurrency: a probe epoch
+/// runs at round(stable * (1 ± kStepRatio)), at least one away.
+constexpr double kStepRatio = 0.25;
+/// Weight of the newest stable observation in the moving average.
+constexpr double kEmaWeight = 0.5;
+
+}  // namespace
+
 const char* ProbeStateName(ProbeState state) {
   switch (state) {
     case ProbeState::kStable:
@@ -26,11 +36,6 @@ ThroughputProbe::ThroughputProbe(const ProbeOptions& options)
     : options_(options) {
   STREAMBID_CHECK_GE(options.min_concurrency, 1);
   STREAMBID_CHECK_GE(options.max_concurrency, options.min_concurrency);
-  STREAMBID_CHECK_GT(options.step_ratio, 0.0);
-  STREAMBID_CHECK_LE(options.step_ratio, 1.0);
-  STREAMBID_CHECK_GT(options.ema_weight, 0.0);
-  STREAMBID_CHECK_LE(options.ema_weight, 1.0);
-  STREAMBID_CHECK_GE(options.min_gain_ratio, 0.0);
   stable_ = std::clamp(options.initial_concurrency, options.min_concurrency,
                        options.max_concurrency);
   concurrency_ = stable_;
@@ -44,13 +49,13 @@ int ThroughputProbe::ClampStep(double target) const {
 
 int ThroughputProbe::StepUp() const {
   // At least one ticket above stable, clamped to the max.
-  const double target = stable_ * (1.0 + options_.step_ratio);
+  const double target = stable_ * (1.0 + kStepRatio);
   return std::max(ClampStep(target),
                   std::min(stable_ + 1, options_.max_concurrency));
 }
 
 int ThroughputProbe::StepDown() const {
-  const double target = stable_ * (1.0 - options_.step_ratio);
+  const double target = stable_ * (1.0 - kStepRatio);
   return std::min(ClampStep(target),
                   std::max(stable_ - 1, options_.min_concurrency));
 }
@@ -68,8 +73,7 @@ ProbeDecision ThroughputProbe::Observe(double throughput) {
         ema_ = throughput;
         has_ema_ = true;
       } else {
-        ema_ = options_.ema_weight * throughput +
-               (1.0 - options_.ema_weight) * ema_;
+        ema_ = kEmaWeight * throughput + (1.0 - kEmaWeight) * ema_;
       }
       const int up = StepUp();
       const int down = StepDown();
@@ -98,12 +102,9 @@ ProbeDecision ThroughputProbe::Observe(double throughput) {
     }
     case ProbeState::kProbingUp:
     case ProbeState::kProbingDown: {
-      const bool improved =
-          throughput > ema_ * (1.0 + options_.min_gain_ratio);
-      if (improved) {
+      if (throughput > ema_) {
         stable_ = concurrency_;
-        ema_ = options_.ema_weight * throughput +
-               (1.0 - options_.ema_weight) * ema_;
+        ema_ = kEmaWeight * throughput + (1.0 - kEmaWeight) * ema_;
         decision.adopted = true;
         decision.reason = "adopted";
       } else {

@@ -20,9 +20,10 @@
 // exponential moving average and picks a probe direction (up unless
 // pinned at the max, down unless pinned at the min; when both are
 // possible the direction is a seeded — and therefore replayable — coin
-// per epoch). The probe epoch then runs at stable*(1±step); if its
-// throughput beats the moving average, the probed concurrency becomes
-// the new stable value, otherwise the controller reverts. Decisions are
+// per epoch). The probe epoch then runs at stable*(1±0.25), at least
+// one away; if its throughput beats the moving average (newest stable
+// observation weighted 0.5), the probed concurrency becomes the new
+// stable value, otherwise the controller reverts. Decisions are
 // pure functions of (options, observation history, seed) — the same
 // contract the autoscaler and rebalancer honor — so a gated run
 // replays byte-identically.
@@ -45,14 +46,6 @@ struct ProbeOptions {
   int initial_concurrency = 64;
   int min_concurrency = 4;
   int max_concurrency = 4096;
-  /// Probe step as a fraction of the stable concurrency: a probe epoch
-  /// runs at round(stable * (1 ± step_ratio)), at least one away.
-  double step_ratio = 0.25;
-  /// Weight of the newest stable observation in the moving average.
-  double ema_weight = 0.5;
-  /// A probe must beat the moving average by this relative margin to be
-  /// adopted (0 = any improvement wins).
-  double min_gain_ratio = 0.0;
   /// Seeds the up-vs-down coin when both directions are possible.
   uint64_t seed = 1;
 };
@@ -85,8 +78,7 @@ struct ProbeDecision {
 /// Observe per period epoch from its single closing thread.
 class ThroughputProbe {
  public:
-  /// Preconditions (checked): 1 <= min <= max, 0 < step_ratio <= 1,
-  /// 0 < ema_weight <= 1, min_gain_ratio >= 0.
+  /// Precondition (checked): 1 <= min <= max.
   explicit ThroughputProbe(const ProbeOptions& options);
 
   /// Closes one epoch with its measured throughput (any monotone unit —

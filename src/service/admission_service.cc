@@ -86,24 +86,6 @@ Result<AdmissionResponse> AdmissionService::Execute(
   }
 
   const auction::AuctionInstance& instance = *request.instance;
-  AdmissionDiagnostics& diag = response.diagnostics;
-  diag.mechanism = mechanism.name();
-  diag.properties = mechanism.properties();
-  diag.capacity = request.capacity;
-  if (request.options.compute_diagnostics) {
-    diag.used_capacity =
-        auction::UsedCapacity(instance, response.allocation);
-    diag.capacity_utilization =
-        request.capacity > 0.0 ? diag.used_capacity / request.capacity
-                               : 0.0;
-  }
-  diag.num_queries = instance.num_queries();
-  diag.admitted_count = response.allocation.NumAdmitted();
-  diag.rejected_count = diag.num_queries - diag.admitted_count;
-  diag.deadline_exceeded = request.options.time_budget_ms > 0.0 &&
-                           response.elapsed_ms >
-                               request.options.time_budget_ms;
-
   if (request.options.compute_metrics) {
     response.metrics =
         auction::ComputeMetrics(instance, response.allocation);

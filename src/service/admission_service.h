@@ -2,11 +2,12 @@
 // The admission service: a request/response facade over the auction
 // mechanisms. Instead of looking up a Mechanism, seeding an Rng, and
 // assembling metrics by hand, callers submit an AdmissionRequest and get
-// back an AdmissionResponse carrying the allocation, metrics, wall-clock
-// timing, and structured diagnostics. The service owns the mechanism
-// registry and derives a deterministic, independent RNG stream per
-// request from (seed, request_index), so any request is replayable in
-// isolation — the property that makes batch sweeps, sharding, and async
+// back an AdmissionResponse carrying the allocation (which names its
+// mechanism and capacity), the §VI metrics and the mechanism's wall
+// clock. The service owns the mechanism registry and derives a
+// deterministic, independent RNG stream per request from
+// (seed, request_index), so any request is replayable in isolation —
+// the property that makes batch sweeps, sharding, and async
 // submission (see ROADMAP) safe to add behind this API.
 
 #ifndef STREAMBID_SERVICE_ADMISSION_SERVICE_H_
@@ -44,15 +45,6 @@ struct AdmissionOptions {
   /// within bounds, rejected queries pay zero). A violation is a
   /// mechanism bug and fails the request with kInternal.
   bool check_feasibility = false;
-  /// Compute the used-capacity / utilization diagnostics, an
-  /// O(queries x operators) pass over the allocation. Turn off together
-  /// with compute_metrics on hot paths (runtime benches, deviation
-  /// sweeps); the cheap count diagnostics are always populated.
-  bool compute_diagnostics = true;
-  /// Soft wall-clock budget in milliseconds; 0 disables. Mechanisms are
-  /// not preempted mid-run — an overrun is reported via
-  /// Diagnostics::deadline_exceeded so callers can shed or downgrade.
-  double time_budget_ms = 0.0;
 };
 
 /// One admission auction to run. The instance is borrowed and must
@@ -68,27 +60,12 @@ struct AdmissionRequest {
   AdmissionOptions options;
 };
 
-/// Structured service-level diagnostics attached to every response.
-struct AdmissionDiagnostics {
-  std::string mechanism;                      ///< Resolved registry name.
-  auction::MechanismProperties properties;    ///< Claimed Table-I bits.
-  double capacity = 0.0;
-  double used_capacity = 0.0;     ///< Union load admitted (0 when
-                                  ///< options.compute_diagnostics off).
-  double capacity_utilization = 0.0;          ///< used / capacity.
-  int num_queries = 0;
-  int admitted_count = 0;
-  int rejected_count = 0;
-  bool deadline_exceeded = false;             ///< See AdmissionOptions.
-};
-
 /// The outcome of one admission auction.
 struct AdmissionResponse {
   auction::Allocation allocation;
   /// Zero-initialized unless options.compute_metrics.
   auction::AllocationMetrics metrics;
-  double elapsed_ms = 0.0;                    ///< Mechanism wall clock.
-  AdmissionDiagnostics diagnostics;
+  double elapsed_ms = 0.0;  ///< Mechanism wall clock.
 };
 
 /// Request/response admission endpoint. Owns one instance of every

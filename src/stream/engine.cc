@@ -54,7 +54,6 @@ Status Engine::RegisterSource(StreamSourcePtr source) {
   }
   source_index_[name] = static_cast<int>(sources_.size());
   sources_.push_back(std::move(source));
-  held_.emplace_back();
   return Status::Ok();
 }
 
@@ -295,31 +294,6 @@ std::vector<int> Engine::InstalledQueries() const {
   return out;
 }
 
-void Engine::BeginTransition() {
-  if (in_transition_) return;
-  in_transition_ = true;
-  // Drain in-flight tuples through the network before modification
-  // (§II: subnetwork queues empty through downstream connection
-  // points).
-  ProcessPass(now_);
-}
-
-Status Engine::CommitTransition() {
-  if (!in_transition_) {
-    return Status::FailedPrecondition("no transition in progress");
-  }
-  // Replay held tuples into the modified network before new arrivals.
-  for (size_t s = 0; s < held_.size(); ++s) {
-    if (Node* tap = TapOf(s)) {
-      for (Tuple& t : held_[s]) tap->inbox.emplace_back(0, std::move(t));
-    }
-    held_[s].clear();
-  }
-  in_transition_ = false;
-  ProcessPass(now_);
-  return Status::Ok();
-}
-
 Engine::Node* Engine::TapOf(size_t s) const {
   // Source signatures are "source(<name>)", so a source has at most one
   // tap.
@@ -395,11 +369,6 @@ void Engine::Run(VirtualTime duration) {
   while (now_ < end) {
     now_ = std::min(now_ + options_.tick, end);
     for (size_t s = 0; s < sources_.size(); ++s) {
-      if (in_transition_) {
-        // Connection point holds arrivals during the transition.
-        sources_[s]->EmitUntil(now_, &held_[s]);
-        continue;
-      }
       arrivals_.clear();
       sources_[s]->EmitUntil(now_, &arrivals_);
       if (arrivals_.empty()) continue;
@@ -417,20 +386,17 @@ void Engine::Run(VirtualTime duration) {
         ++last_run_ingested_;
       }
     }
-    if (!in_transition_) {
-      const double tick_cost = ProcessPass(now_);
-      if (options_.shed_on_overload && tick_budget > 0.0) {
-        // The measured cost already reflects the current drop rate;
-        // de-bias it to estimate the offered demand, then aim the drop
-        // probability so post-shedding cost equals the budget.
-        const double kept = 1.0 - shed_probability_;
-        const double offered =
-            kept > 1e-6 ? tick_cost / kept : tick_cost;
-        const double target =
-            offered > tick_budget ? 1.0 - tick_budget / offered : 0.0;
-        // Fast-attack, fast-release controller.
-        shed_probability_ = 0.5 * shed_probability_ + 0.5 * target;
-      }
+    const double tick_cost = ProcessPass(now_);
+    if (options_.shed_on_overload && tick_budget > 0.0) {
+      // The measured cost already reflects the current drop rate;
+      // de-bias it to estimate the offered demand, then aim the drop
+      // probability so post-shedding cost equals the budget.
+      const double kept = 1.0 - shed_probability_;
+      const double offered = kept > 1e-6 ? tick_cost / kept : tick_cost;
+      const double target =
+          offered > tick_budget ? 1.0 - tick_budget / offered : 0.0;
+      // Fast-attack, fast-release controller.
+      shed_probability_ = 0.5 * shed_probability_ + 0.5 * target;
     }
   }
   last_run_cost_ = 0.0;

@@ -5,10 +5,14 @@
 // is reused, so shared operators are processed once regardless of how
 // many queries subscribe to them. The engine measures per-operator load
 // (cost units per second), which is exactly the c_j the admission
-// auction prices, and implements the paper's transition phase: at a
-// subscription-period boundary, upstream connection points hold new
-// tuples, in-flight tuples are drained, the query network is modified,
-// and held tuples are replayed before new arrivals.
+// auction prices.
+//
+// A subscription-period boundary (the paper's transition phase) is
+// UninstallQuery/InstallQuery between two Run calls. Every Run tick ends
+// with a full pass that empties every inbox, so no tuple is in flight
+// while the network changes, and tuples that arrive after the change
+// reach the modified network: queries that continue across the boundary
+// lose no results, and a new query sees only later arrivals.
 //
 // Bookkeeping is per query: an installed query owns its sink and the
 // list of its distinct runtime nodes, and a node keeps a count of the
@@ -120,20 +124,6 @@ class Engine {
   bool IsInstalled(int query_id) const;
   std::vector<int> InstalledQueries() const;
 
-  // --- Transition phase (§II) ----------------------------------------
-
-  /// Enters the transition: upstream connection points begin holding
-  /// newly arriving tuples, and all in-flight tuples are drained
-  /// through the network first.
-  void BeginTransition();
-
-  /// Ends the transition: held tuples are replayed into the (modified)
-  /// network before any new arrivals. kFailedPrecondition if not in a
-  /// transition.
-  Status CommitTransition();
-
-  bool in_transition() const { return in_transition_; }
-
   // --- Execution ------------------------------------------------------
 
   /// Advances virtual time by `duration`, pulling sources, scheduling
@@ -234,9 +224,6 @@ class Engine {
   std::map<std::string, std::unique_ptr<Node>> nodes_;  // By signature.
   std::vector<Node*> topo_;  // Creation order == topological order.
   std::map<int, Query> queries_;  // By query id.
-
-  bool in_transition_ = false;
-  std::vector<std::vector<Tuple>> held_;  // Per source, during transition.
 
   // Scratch buffers reused across ticks: one source's arrivals, and one
   // operator invocation's outputs.

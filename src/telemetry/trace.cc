@@ -28,7 +28,6 @@ const char* PhaseName(Phase phase) {
 void PeriodTracer::Record(Phase phase, int period, int shard,
                           uint64_t epoch, double start_ms,
                           double duration_ms) {
-  if (!enabled_) return;
   TraceSpan span;
   span.phase = phase;
   span.period = period;

@@ -14,11 +14,11 @@
 // shard phases concurrently); readers sort by the logical key, so the
 // nondeterministic arrival order never leaks into any exported view.
 //
-// Zero-perturbation: a tracer constructed disabled (or a null tracer
-// pointer) records nothing, and ScopedSpan skips even the clock reads,
-// so disabled tracing executes no extra instructions on the period
-// path. Enabled tracing writes only to the tracer's own buffer — it
-// never feeds back into admission, routing, or scaling decisions.
+// Zero-perturbation: a null tracer pointer is the off switch — nothing
+// is recorded, and ScopedSpan skips even the clock reads, so disabled
+// tracing executes no extra instructions on the period path. Enabled
+// tracing writes only to the tracer's own buffer — it never feeds back
+// into admission, routing, or scaling decisions.
 
 #ifndef STREAMBID_TELEMETRY_TRACE_H_
 #define STREAMBID_TELEMETRY_TRACE_H_
@@ -42,7 +42,7 @@ enum class Phase : int {
   kPrepare = 1,    ///< Auction build (+ autoscaled candidate grid).
   kAutoscale = 2,  ///< The capacity decision inside prepare.
   kAdmit = 3,      ///< The admission auction on a worker's service.
-  kComplete = 4,   ///< Transition + engine execution + billing.
+  kComplete = 4,   ///< Query swap + engine execution + billing.
   kRebalance = 5,  ///< The period tail's migration plan + ledger moves.
 };
 
@@ -64,15 +64,14 @@ struct TraceSpan {
 /// The span recorder. Thread-safe.
 class PeriodTracer {
  public:
-  explicit PeriodTracer(bool enabled = true) : enabled_(enabled) {}
+  PeriodTracer() = default;
   PeriodTracer(const PeriodTracer&) = delete;
   PeriodTracer& operator=(const PeriodTracer&) = delete;
 
-  bool enabled() const { return enabled_; }
   /// Wall milliseconds since construction (the span time base).
   double NowMs() const { return since_.ElapsedMillis(); }
 
-  /// Appends one span. No-op when disabled.
+  /// Appends one span.
   void Record(Phase phase, int period, int shard, uint64_t epoch,
               double start_ms, double duration_ms);
 
@@ -97,7 +96,6 @@ class PeriodTracer {
   Status WriteChromeTrace(const std::string& path) const;
 
  private:
-  const bool enabled_;
   Timer since_;
   mutable Mutex mutex_ ACQUIRED_AFTER(kTelemetryRankBoundary)
       ACQUIRED_BEFORE(kLeafRankBoundary) =
@@ -107,13 +105,13 @@ class PeriodTracer {
 };
 
 /// RAII span: times its scope and records into the tracer at
-/// destruction. A null or disabled tracer makes construction and
-/// destruction free (no clock reads).
+/// destruction. A null tracer makes construction and destruction free
+/// (no clock reads).
 class ScopedSpan {
  public:
   ScopedSpan(PeriodTracer* tracer, Phase phase, int period, int shard,
              uint64_t epoch)
-      : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr),
+      : tracer_(tracer),
         phase_(phase),
         period_(period),
         shard_(shard),

@@ -32,7 +32,6 @@ AutoscalerOptions FastOptions() {
   AutoscalerOptions options;
   options.enabled = true;
   options.min_capacity_ratio = 0.25;
-  options.max_capacity_ratio = 1.0;
   options.min_dwell_periods = 1;  // Most tests exercise single steps.
   options.max_step_ratio = 0.5;
   return options;
@@ -44,28 +43,21 @@ TEST(CapacityAutoscalerTest, StartsAtBaselineClampedIntoBounds) {
   EXPECT_DOUBLE_EQ(scaler.capacity(), 100.0);
   EXPECT_DOUBLE_EQ(scaler.min_capacity(), 25.0);
   EXPECT_DOUBLE_EQ(scaler.max_capacity(), 100.0);
-
-  options.max_capacity_ratio = 0.8;
-  options.min_capacity_ratio = 0.5;
-  CapacityAutoscaler clamped(options, 100.0);
-  EXPECT_DOUBLE_EQ(clamped.capacity(), 80.0);
 }
 
 TEST(CapacityAutoscalerTest, ObserveWindowRolls) {
-  AutoscalerOptions options = FastOptions();
-  options.window = 3;
-  CapacityAutoscaler scaler(options, 10.0);
-  for (int i = 0; i < 5; ++i) {
+  CapacityAutoscaler scaler(FastOptions(), 10.0);
+  for (int i = 0; i < 6; ++i) {
     PeriodObservation obs;
     obs.provisioned_capacity = 10.0;
     obs.measured_utilization = 0.1 * (i + 1);
     scaler.Observe(obs);
   }
-  ASSERT_EQ(scaler.window().size(), 3u);
-  // Oldest two rolled out: the window holds utilizations .3, .4, .5.
+  ASSERT_EQ(scaler.window().size(), 4u);
+  // Oldest two rolled out: the window holds utilizations .3 through .6.
   EXPECT_DOUBLE_EQ(scaler.window().front().measured_utilization, 0.3);
-  EXPECT_DOUBLE_EQ(scaler.window().back().measured_utilization, 0.5);
-  EXPECT_DOUBLE_EQ(scaler.DemandEstimate(), 4.0);  // mean(3,4,5).
+  EXPECT_DOUBLE_EQ(scaler.window().back().measured_utilization, 0.6);
+  EXPECT_DOUBLE_EQ(scaler.DemandEstimate(), 4.5);  // mean(3,4,5,6).
 }
 
 TEST(CapacityAutoscalerTest, DemandEstimateCorrectsForShedding) {
@@ -175,8 +167,6 @@ TEST(CapacityAutoscalerTest, GrowsBackAfterShrinkWhenDemandReturns) {
     obs.provisioned_capacity = scaler.capacity();
     obs.measured_utilization = 1.0;
     obs.auction_utilization = 1.0;
-    obs.submissions = 40;
-    obs.admitted = 5;
     scaler.Observe(obs);
     const auto decision = scaler.Propose(service, "cat", &inst, 5);
     ASSERT_TRUE(decision.ok());

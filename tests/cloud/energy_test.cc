@@ -52,6 +52,29 @@ TEST(EnergyTest, EvaluatesEveryCandidate) {
   }
 }
 
+TEST(EnergyTest, EvaluationOnPaperExample1) {
+  // Paper Example 1: loads A=4 B=1 C=2 D=6 E=4; q1 {A,B} $55,
+  // q2 {A,C} $72, q3 {D,E} $100. CAT at capacity 10 admits {q1, q2},
+  // which use operators A, B and C: 4 + 1 + 2 = 7 units.
+  const auction::AuctionInstance inst =
+      auction::AuctionInstance::Create(
+          {{4.0}, {1.0}, {2.0}, {6.0}, {4.0}},
+          {{1, 55.0, {0, 1}}, {2, 72.0, {0, 2}}, {3, 100.0, {3, 4}}})
+          .value();
+  service::AdmissionService service;
+  const auto evals =
+      EvaluateCapacities(service, "cat", inst, {10.0}, EnergyModel{});
+  ASSERT_TRUE(evals.ok());
+  ASSERT_EQ(evals->size(), 1u);
+  const CapacityEvaluation& e = (*evals)[0];
+  EXPECT_DOUBLE_EQ(e.capacity, 10.0);
+  EXPECT_EQ(e.admitted, 2);
+  EXPECT_DOUBLE_EQ(e.gross_profit, 110.0);
+  EXPECT_DOUBLE_EQ(e.utilization, 0.7);
+  EXPECT_DOUBLE_EQ(e.energy_cost, EnergyModel{}.PeriodCost(10.0, 7.0));
+  EXPECT_DOUBLE_EQ(e.net_profit, 110.0 - e.energy_cost);
+}
+
 TEST(EnergyTest, OptimizePicksBestNet) {
   const auction::AuctionInstance inst = SharedWorkload(2);
   service::AdmissionService service;

@@ -20,7 +20,6 @@ RebalancerOptions EnabledOptions() {
   options.max_moves_per_period = 2;
   options.min_history_periods = 2;
   options.tenant_cooldown_periods = 3;
-  options.min_pressure_gap = 0.25;
   return options;
 }
 

@@ -20,8 +20,6 @@ ProbeOptions UpFirstOptions() {
   options.initial_concurrency = 4;
   options.min_concurrency = 4;
   options.max_concurrency = 64;
-  options.step_ratio = 0.25;
-  options.ema_weight = 0.5;
   return options;
 }
 
@@ -78,15 +76,6 @@ TEST(ThroughputProbeTest, ProbeRevertsWithoutImprovement) {
   EXPECT_EQ(verdict.stable_concurrency, 4);
   // The failed probe's throughput never pollutes the moving average.
   EXPECT_DOUBLE_EQ(verdict.ema_throughput, 100.0);
-}
-
-TEST(ThroughputProbeTest, MinGainRatioRequiresMargin) {
-  ProbeOptions options = UpFirstOptions();
-  options.min_gain_ratio = 0.5;
-  ThroughputProbe probe(options);
-  ASSERT_EQ(probe.Observe(100.0).state, ProbeState::kProbingUp);
-  // +20% is improvement but under the +50% bar: reverted.
-  EXPECT_EQ(probe.Observe(120.0).reason, "reverted");
 }
 
 TEST(ThroughputProbeTest, BoundsHoldAcrossManyEpochs) {

@@ -97,14 +97,12 @@ TEST_F(AuctionEngineTest, WinnersExecuteAndLoadsConverge) {
   const auction::Allocation& alloc = response->allocation;
   ASSERT_TRUE(IsFeasible(build->instance, alloc));
 
-  engine_.BeginTransition();
   for (size_t i = 0; i < subs.size(); ++i) {
     if (alloc.IsAdmitted(static_cast<auction::QueryId>(i))) {
       ASSERT_TRUE(
           engine_.InstallQuery(subs[i].query_id, subs[i].plan).ok());
     }
   }
-  ASSERT_TRUE(engine_.CommitTransition().ok());
   engine_.Run(20.0);
 
   // Measured loads now exist for installed signatures; a re-estimate

@@ -74,11 +74,6 @@ std::vector<SimStep> Simulate(const AutoscalerOptions& options,
     obs.measured_utilization =
         decision->capacity > 0.0 ? used / decision->capacity : 0.0;
     obs.auction_utilization = obs.measured_utilization;
-    obs.revenue = used;  // Arbitrary deterministic stand-in.
-    obs.submissions = instance == nullptr
-                          ? 0
-                          : static_cast<int>(instance->num_queries());
-    obs.admitted = obs.submissions / 2;
     scaler.Observe(obs);
     steps.push_back(std::move(step));
   }
@@ -103,14 +98,13 @@ TEST(AutoscalerInvariantsTest, CapacityStaysWithinBoundsAndStepLimits) {
     AutoscalerOptions options;
     options.enabled = true;
     options.min_capacity_ratio = 0.2;
-    options.max_capacity_ratio = 1.0;
     options.min_dwell_periods = 1 + static_cast<int>(seed % 3);
     options.max_step_ratio = 0.3 + 0.1 * static_cast<double>(seed % 2);
     const double baseline = 20.0 * static_cast<double>(seed);
     const auto steps = Simulate(options, baseline, seed, 24);
     ASSERT_EQ(steps.size(), 24u);
     const double lo = baseline * options.min_capacity_ratio;
-    const double hi = baseline * options.max_capacity_ratio;
+    const double hi = baseline;
     for (const SimStep& step : steps) {
       const AutoscaleDecision& d = step.decision;
       EXPECT_GE(d.capacity, lo - 1e-12) << "seed " << seed;

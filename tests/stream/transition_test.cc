@@ -1,9 +1,10 @@
 // Copyright 2026 The streambid Authors
-// The §II transition phase: during the boundary between subscription
-// periods, connection points hold arriving tuples, in-flight tuples
-// drain, the network is modified, and held tuples replay before new
-// arrivals — "this transition phase ensures the correctness of the
-// results output by CQs that continue to execute".
+// The §II transition phase — "this transition phase ensures the
+// correctness of the results output by CQs that continue to execute" —
+// as a property of the engine's period boundary: queries are installed
+// and uninstalled between two Run calls, when no tuple is in flight, so
+// a query that continues across the boundary loses no tuple and a query
+// installed at the boundary sees only later arrivals.
 
 #include <gtest/gtest.h>
 
@@ -57,86 +58,46 @@ class TransitionTest : public ::testing::Test {
   Engine engine_;
 };
 
-TEST_F(TransitionTest, HeldTuplesReplayAfterCommit) {
-  ASSERT_TRUE(engine_.InstallQuery(1, PassThrough()).ok());
-  engine_.Run(5.0);
-  const int64_t before = engine_.sink(1)->tuples;
-  ASSERT_GT(before, 0);
-
-  engine_.BeginTransition();
-  EXPECT_TRUE(engine_.in_transition());
-  // Tuples arriving mid-transition are held at the connection point.
-  engine_.Run(5.0);
-  EXPECT_EQ(engine_.sink(1)->tuples, before);
-
-  ASSERT_TRUE(engine_.CommitTransition().ok());
-  EXPECT_FALSE(engine_.in_transition());
-  // Held tuples were replayed: nothing lost.
-  const int64_t after = engine_.sink(1)->tuples;
-  EXPECT_GT(after, before);
-  // Running further continues normally.
-  engine_.Run(5.0);
-  EXPECT_GT(engine_.sink(1)->tuples, after);
-}
-
 TEST_F(TransitionTest, NoTupleLossAcrossTransition) {
   ASSERT_TRUE(engine_.InstallQuery(1, PassThrough()).ok());
   engine_.Run(10.0);
-  engine_.BeginTransition();
+  // Query 2 shares query 1's select; installing and later uninstalling
+  // it modifies the network under the continuing query 1.
+  ASSERT_TRUE(engine_.InstallQuery(2, EvenOnly()).ok());
   engine_.Run(7.0);
-  ASSERT_TRUE(engine_.CommitTransition().ok());
+  ASSERT_TRUE(engine_.UninstallQuery(2).ok());
   engine_.Run(10.0);
   // Sequence source emits 1/s beginning at t=0: by t=27 it has emitted
   // 28 tuples (0..27). Every one must reach the sink exactly once.
   EXPECT_EQ(engine_.sink(1)->tuples, 28);
-  // Sequence numbers in the sink history are consecutive.
   const auto& recent = engine_.sink(1)->recent;
-  for (size_t i = 1; i < recent.size(); ++i) {
-    EXPECT_EQ(recent[i].field("seq").AsInt64(),
-              recent[i - 1].field("seq").AsInt64() + 1);
+  ASSERT_EQ(recent.size(), 28u);
+  for (size_t i = 0; i < recent.size(); ++i) {
+    EXPECT_EQ(recent[i].field("seq").AsInt64(), static_cast<int64_t>(i));
   }
 }
 
 TEST_F(TransitionTest, QuerySwapDuringTransition) {
   ASSERT_TRUE(engine_.InstallQuery(1, PassThrough()).ok());
-  engine_.Run(5.0);
-  engine_.BeginTransition();
+  engine_.Run(5.0);  // Tuples 0..5.
   ASSERT_TRUE(engine_.UninstallQuery(1).ok());
   ASSERT_TRUE(engine_.InstallQuery(2, EvenOnly()).ok());
-  engine_.Run(3.0);  // Held.
-  ASSERT_TRUE(engine_.CommitTransition().ok());
-  engine_.Run(5.0);
+  engine_.Run(5.0);  // Tuples 6..10.
   EXPECT_EQ(engine_.sink(1), nullptr);
-  // The new query received the held tuples AND the post-commit ones.
-  EXPECT_GT(engine_.sink(2)->tuples, 5);
-}
-
-TEST_F(TransitionTest, CommitWithoutBeginFails) {
-  EXPECT_EQ(engine_.CommitTransition().code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST_F(TransitionTest, DoubleBeginIsIdempotent) {
-  ASSERT_TRUE(engine_.InstallQuery(1, PassThrough()).ok());
-  engine_.BeginTransition();
-  engine_.BeginTransition();
-  EXPECT_TRUE(engine_.in_transition());
-  ASSERT_TRUE(engine_.CommitTransition().ok());
-  EXPECT_FALSE(engine_.in_transition());
+  // The new query sees exactly the arrivals after the swap.
+  ASSERT_EQ(engine_.sink(2)->tuples, 5);
+  EXPECT_EQ(engine_.sink(2)->recent.front().field("seq").AsInt64(), 6);
 }
 
 TEST_F(TransitionTest, NewQueryDoesNotSeePreTransitionTuples) {
-  // A query installed during the transition must only process tuples
-  // held at the connection point (arrivals during the transition) and
-  // later ones — not historical data.
+  // A query installed at a period boundary must only process tuples
+  // that arrive after it — not historical data.
   engine_.Run(10.0);  // Tuples 0..10 flow with no queries installed.
-  engine_.BeginTransition();
   ASSERT_TRUE(engine_.InstallQuery(3, PassThrough()).ok());
-  ASSERT_TRUE(engine_.CommitTransition().ok());
   engine_.Run(10.0);
   // Tuples 11..20 (emitted after t=10) reach the sink.
-  EXPECT_EQ(engine_.sink(3)->tuples, 10);
-  EXPECT_GE(engine_.sink(3)->recent.front().field("seq").AsInt64(), 11);
+  ASSERT_EQ(engine_.sink(3)->tuples, 10);
+  EXPECT_EQ(engine_.sink(3)->recent.front().field("seq").AsInt64(), 11);
 }
 
 }  // namespace

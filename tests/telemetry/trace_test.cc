@@ -25,13 +25,6 @@ TEST(PhaseNameTest, AllPhases) {
   EXPECT_STREQ(PhaseName(Phase::kRebalance), "rebalance");
 }
 
-TEST(PeriodTracerTest, DisabledRecordsNothing) {
-  PeriodTracer tracer(/*enabled=*/false);
-  tracer.Record(Phase::kPrepare, 0, 0, 1, 0.0, 1.0);
-  EXPECT_EQ(tracer.span_count(), 0);
-  EXPECT_TRUE(tracer.IdentitySequence().empty());
-}
-
 TEST(PeriodTracerTest, NullTracerScopedSpanIsSafe) {
   ScopedSpan span(nullptr, Phase::kAdmit, 3, 1, 7);
   // Destruction must be a no-op; nothing to assert beyond not crashing.
