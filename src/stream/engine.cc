@@ -14,6 +14,17 @@
 
 namespace streambid::stream {
 
+namespace {
+
+// Whether the existing field `field` of `schema` holds strings, which the
+// numeric operators (an ordering compare against a number, sum, avg,
+// min, max, a topk rank, a map) cannot read.
+bool IsStringField(const Schema& schema, const std::string& field) {
+  return schema.field(schema.FieldIndex(field)).type == ValueType::kString;
+}
+
+}  // namespace
+
 /// One runtime graph node: either a source tap (op == nullptr) or an
 /// operator instance. Nodes are owned by the signature map; topo_ holds
 /// raw pointers in creation (= topological) order.
@@ -23,12 +34,16 @@ struct Engine::Node {
   int source_index = -1;   // Valid for source taps.
   SchemaPtr schema;        // Output schema.
   double cost = 0.0;       // OpSpec::cost_per_tuple(); 0 for source taps.
-  std::vector<Node*> inputs;                      // By port.
-  std::vector<std::pair<Node*, int>> downstream;  // (consumer, port).
+  int64_t seq = 0;         // Creation sequence number (topo_ order).
+  // (input, port) for every input port, ordered by the input's seq, then
+  // by port: a pass reads each input's batch once, feeding every tuple
+  // to each port that input drives before the next tuple.
+  std::vector<std::pair<const Node*, int>> reads;
   std::vector<SinkStats*> sinks;  // Of the queries whose output this is.
-  // (port, tuple). ProcessPass drains it in place and clears it with its
+  // This pass's outputs (a tap's arrivals), oldest first. Consumers read
+  // it in place; ProcessPass clears it after the whole pass with its
   // capacity kept, so a steady-state tick does not reallocate it.
-  std::vector<std::pair<int, Tuple>> inbox;
+  std::vector<Tuple> out;
   int subscribers = 0;        // Installed queries whose plans include it.
   double run_cost = 0.0;      // Cost consumed during the current Run().
   int64_t processed = 0;
@@ -74,6 +89,17 @@ Result<OperatorPtr> Engine::MakeOperator(
         return Status::InvalidArgument("select: unknown field " +
                                        spec.field);
       }
+      // == and != across kinds are simply false and true; an ordering
+      // compare needs both sides of one kind.
+      const bool ordering = spec.compare_op != CompareOp::kEq &&
+                            spec.compare_op != CompareOp::kNe;
+      if (ordering && IsStringField(*inputs[0], spec.field) ==
+                          spec.operand.is_numeric()) {
+        return Status::InvalidArgument(
+            "select: " + spec.field + " " +
+            CompareOpToken(spec.compare_op) +
+            " compares a string with a number");
+      }
       return OperatorPtr(new SelectOperator(inputs[0], spec.field,
                                             spec.compare_op, spec.operand));
     }
@@ -89,6 +115,10 @@ Result<OperatorPtr> Engine::MakeOperator(
       if (!inputs[0]->HasField(spec.field)) {
         return Status::InvalidArgument("map: unknown field " + spec.field);
       }
+      if (IsStringField(*inputs[0], spec.field)) {
+        return Status::InvalidArgument("map: string field " + spec.field +
+                                       " is not numeric");
+      }
       return OperatorPtr(new MapOperator(inputs[0], spec.field, spec.map_fn,
                                          spec.map_operand,
                                          spec.output_field));
@@ -98,6 +128,13 @@ Result<OperatorPtr> Engine::MakeOperator(
         if (!inputs[0]->HasField(spec.field)) {
           return Status::InvalidArgument("aggregate: unknown field " +
                                          spec.field);
+        }
+        // count reads no field, so it counts tuples of any field type.
+        if (spec.agg_fn != AggFn::kCount &&
+            IsStringField(*inputs[0], spec.field)) {
+          return Status::InvalidArgument(
+              std::string("aggregate: ") + AggFnName(spec.agg_fn) +
+              " over string field " + spec.field);
         }
       }
       if (!spec.group_field.empty() &&
@@ -132,6 +169,10 @@ Result<OperatorPtr> Engine::MakeOperator(
         return Status::InvalidArgument("topk: unknown rank field " +
                                        spec.field);
       }
+      if (IsStringField(*inputs[0], spec.field)) {
+        return Status::InvalidArgument("topk: string rank field " +
+                                       spec.field + " is not numeric");
+      }
       return OperatorPtr(new TopKOperator(inputs[0], spec.top_k,
                                           spec.field, spec.window.size));
     }
@@ -153,10 +194,12 @@ Status Engine::Instantiate(const QueryPlan& plan, int idx,
   Node*& node = (*made)[static_cast<size_t>(idx)];
   if (node != nullptr) return Status::Ok();
   const QueryPlan::Node& pn = plan.nodes[static_cast<size_t>(idx)];
-  std::vector<Node*> inputs;
+  // (input, port) by port; a created node sorts them into its read order.
+  std::vector<std::pair<const Node*, int>> reads;
   for (int in : pn.inputs) {
     STREAMBID_RETURN_IF_ERROR(Instantiate(plan, in, sigs, made, query));
-    inputs.push_back((*made)[static_cast<size_t>(in)]);
+    reads.emplace_back((*made)[static_cast<size_t>(in)],
+                       static_cast<int>(reads.size()));
   }
   std::string& sig = (*sigs)[static_cast<size_t>(idx)];
   auto it = nodes_.find(sig);
@@ -164,7 +207,10 @@ Status Engine::Instantiate(const QueryPlan& plan, int idx,
     node = it->second.get();
     // Equal signatures mean equal inputs (OpSpec::Signature); a node
     // shared over other inputs would outlive them.
-    STREAMBID_CHECK(node->inputs == inputs);
+    STREAMBID_CHECK_EQ(node->reads.size(), reads.size());
+    for (const auto& [input, port] : node->reads) {
+      STREAMBID_CHECK(input == reads[static_cast<size_t>(port)].first);
+    }
   } else {
     auto fresh = std::make_unique<Node>();
     if (pn.spec.kind == OpKind::kSource) {
@@ -176,17 +222,23 @@ Status Engine::Instantiate(const QueryPlan& plan, int idx,
       fresh->schema = sources_[static_cast<size_t>(src->second)]->schema();
     } else {
       std::vector<SchemaPtr> input_schemas;
-      for (Node* in : inputs) input_schemas.push_back(in->schema);
+      for (const auto& [input, port] : reads) {
+        input_schemas.push_back(input->schema);
+      }
       STREAMBID_ASSIGN_OR_RETURN(fresh->op,
                                  MakeOperator(pn.spec, input_schemas));
       fresh->schema = fresh->op->output_schema();
     }
     fresh->cost = pn.spec.cost_per_tuple();
-    fresh->inputs = std::move(inputs);
-    for (size_t port = 0; port < fresh->inputs.size(); ++port) {
-      fresh->inputs[port]->downstream.push_back(
-          {fresh.get(), static_cast<int>(port)});
-    }
+    fresh->seq = next_seq_++;
+    std::sort(reads.begin(), reads.end(),
+              [](const std::pair<const Node*, int>& a,
+                 const std::pair<const Node*, int>& b) {
+                return a.first->seq != b.first->seq
+                           ? a.first->seq < b.first->seq
+                           : a.second < b.second;
+              });
+    fresh->reads = std::move(reads);
     fresh->signature = std::move(sig);
     node = fresh.get();
     topo_.push_back(node);
@@ -266,18 +318,12 @@ Status Engine::UninstallQuery(int query_id) {
 
 void Engine::Release(const Query& query) {
   // Every node follows its inputs in query.nodes, so walking it backwards
-  // destroys an orphan's consumers before the orphan itself.
+  // destroys an orphan's consumers before the orphan itself. A consumer
+  // holds its inputs and a producer holds no edge list, so destroying a
+  // node unlinks nothing else.
   for (auto n = query.nodes.rbegin(); n != query.nodes.rend(); ++n) {
     Node* node = *n;
     if (--node->subscribers > 0) continue;
-    for (Node* in : node->inputs) {
-      auto& ds = in->downstream;
-      ds.erase(std::remove_if(ds.begin(), ds.end(),
-                              [node](const std::pair<Node*, int>& e) {
-                                return e.first == node;
-                              }),
-               ds.end());
-    }
     topo_.erase(std::find(topo_.begin(), topo_.end(), node));
     nodes_.erase(nodes_.find(node->signature));
   }
@@ -303,54 +349,62 @@ Engine::Node* Engine::TapOf(size_t s) const {
   return nullptr;
 }
 
-void Engine::Deliver(Node* node, const Tuple& tuple) {
-  for (auto& [consumer, port] : node->downstream) {
-    consumer->inbox.emplace_back(port, tuple);
-  }
+void Engine::FeedSinks(const Node& node) {
+  const std::vector<Tuple>& batch = node.out;
+  if (batch.empty()) return;
   const size_t history =
       static_cast<size_t>(std::max(options_.sink_history, 0));
-  for (SinkStats* sink : node->sinks) {
-    ++sink->tuples;
+  for (SinkStats* sink : node.sinks) {
+    sink->tuples += static_cast<int64_t>(batch.size());
     if (history == 0) continue;
-    // Full: drop the oldest by shifting the handles down one slot; the
-    // vector keeps its capacity, so this never reallocates.
-    if (sink->recent.size() == history) {
-      sink->recent.erase(sink->recent.begin());
-    }
-    sink->recent.push_back(tuple);
+    // Keep the newest `history` handles, oldest first: drop the oldest
+    // kept ones that the batch displaces, then append the batch's
+    // newest. The vector never grows past `history`.
+    std::vector<Tuple>& recent = sink->recent;
+    const size_t take = std::min(batch.size(), history);
+    const size_t keep = std::min(recent.size(), history - take);
+    recent.erase(recent.begin(),
+                 recent.begin() + static_cast<std::ptrdiff_t>(
+                                      recent.size() - keep));
+    recent.insert(recent.end(),
+                  batch.end() - static_cast<std::ptrdiff_t>(take),
+                  batch.end());
   }
 }
 
 double Engine::ProcessPass(VirtualTime now) {
   // Edges always point from earlier to later topo_ entries, so one
-  // ordered pass drains everything, including window emissions.
-  // A node never feeds its own inbox, so walking it in place is safe
-  // while Deliver appends to downstream inboxes.
+  // ordered pass runs everything, including window emissions. A node
+  // appends only to its own batch while it reads earlier nodes' batches,
+  // and every batch is cleared only after the pass, so each batch stays
+  // valid for every consumer that reads it.
   double pass_cost = 0.0;
   for (Node* node : topo_) {
     if (node->op == nullptr) {
-      // Source tap: forward.
-      for (const auto& entry : node->inbox) {
-        ++node->processed;
-        Deliver(node, entry.second);
+      // Source tap: its batch is this tick's arrivals.
+      node->processed += static_cast<int64_t>(node->out.size());
+    } else {
+      const auto& reads = node->reads;
+      for (size_t r = 0; r < reads.size();) {
+        // reads[r, end) are the ports one input drives.
+        const Node* input = reads[r].first;
+        size_t end = r + 1;
+        while (end < reads.size() && reads[end].first == input) ++end;
+        for (const Tuple& tuple : input->out) {
+          for (size_t p = r; p < end; ++p) {
+            node->op->Process(reads[p].second, tuple, &node->out);
+            node->run_cost += node->cost;
+            pass_cost += node->cost;
+            ++node->processed;
+          }
+        }
+        r = end;
       }
-      node->inbox.clear();
-      continue;
+      node->op->AdvanceTime(now, &node->out);
     }
-    for (const auto& [port, tuple] : node->inbox) {
-      outputs_.clear();
-      node->op->Process(port, tuple, &outputs_);
-      node->run_cost += node->cost;
-      pass_cost += node->cost;
-      ++node->processed;
-      for (const Tuple& out : outputs_) Deliver(node, out);
-    }
-    node->inbox.clear();
-    outputs_.clear();
-    node->op->AdvanceTime(now, &outputs_);
-    for (const Tuple& out : outputs_) Deliver(node, out);
+    FeedSinks(*node);
   }
-  outputs_.clear();
+  for (Node* node : topo_) node->out.clear();
   return pass_cost;
 }
 
@@ -382,7 +436,7 @@ void Engine::Run(VirtualTime duration) {
           ++last_run_shed_;
           continue;
         }
-        tap->inbox.emplace_back(0, std::move(t));
+        tap->out.push_back(std::move(t));
         ++last_run_ingested_;
       }
     }

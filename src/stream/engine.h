@@ -7,21 +7,30 @@
 // (cost units per second), which is exactly the c_j the admission
 // auction prices.
 //
+// Tuples move through the graph in trains, in the manner of Aurora's
+// train scheduling (Carney et al., VLDB 2003): each tick, one pass runs
+// the nodes in topological order, each node appends that tick's outputs
+// to its own batch, and each consumer reads its producers' batches in
+// place, by reference, so fan-out copies no tuple handle. A consumer
+// reads its inputs oldest node first and, for an input that drives two
+// of its ports (a self-join), feeds each tuple to port 0, then port 1.
+//
 // A subscription-period boundary (the paper's transition phase) is
 // UninstallQuery/InstallQuery between two Run calls. Every Run tick ends
-// with a full pass that empties every inbox, so no tuple is in flight
-// while the network changes, and tuples that arrive after the change
-// reach the modified network: queries that continue across the boundary
-// lose no results, and a new query sees only later arrivals.
+// with a full pass that runs every node and then clears every batch, so
+// no tuple is in flight while the network changes, and tuples that
+// arrive after the change reach the modified network: queries that
+// continue across the boundary lose no results, and a new query sees
+// only later arrivals.
 //
 // Bookkeeping is per query: an installed query owns its sink and the
 // list of its distinct runtime nodes, and a node keeps a count of the
-// queries subscribed to it, its input nodes, pointers to the sinks it
-// feeds, and its plan spec's per-tuple cost. Installing costs one pass
-// over the plan and builds an operator only for each node it creates;
-// uninstalling visits only the query's own nodes and, for each node it
-// orphans, that node's input edges and one scan of the topological
-// order to unlink it.
+// queries subscribed to it, its input nodes (a producer keeps no list
+// of consumers), pointers to the sinks it feeds, and its plan spec's
+// per-tuple cost. Installing costs one pass over the plan and builds an
+// operator only for each node it creates; uninstalling visits only the
+// query's own nodes and, for each node it orphans, one scan of the
+// topological order to unlink it.
 
 #ifndef STREAMBID_STREAM_ENGINE_H_
 #define STREAMBID_STREAM_ENGINE_H_
@@ -73,9 +82,10 @@ struct OperatorLoadInfo {
 
 /// Per-query output statistics. `recent` holds handles to the newest
 /// `sink_history` output tuples, oldest first (empty when the history is
-/// 0). Once full, each output shifts every handle down one slot, which
-/// costs O(sink_history) handle moves (the default history is 32) but
-/// never copies tuple values or reallocates.
+/// 0). Once full, each pass's batch of outputs drops the oldest handles
+/// it displaces and appends its newest, which costs O(sink_history)
+/// handle moves per pass (the default history is 32) but never copies
+/// tuple values or grows the vector past the history.
 struct SinkStats {
   int64_t tuples = 0;
   std::vector<Tuple> recent;
@@ -110,15 +120,19 @@ class Engine {
   /// Runs QueryPlan::Validate, then instantiates `plan` for `query_id`,
   /// sharing identical subtrees with already-installed queries. Errors:
   /// kAlreadyExists (id in use), kInvalidArgument (bad structure, an
-  /// unknown field, or union inputs whose schemas differ), kNotFound
-  /// (unknown source). On an error found while instantiating, the nodes
-  /// the install created are destroyed and the shared ones released
-  /// again, so a failed install leaves the engine unchanged.
+  /// unknown field, a field of a type its operator cannot read, or union
+  /// inputs whose schemas differ), kNotFound (unknown source). A type
+  /// error is an ordering compare (<, <=, >, >=) between a string and a
+  /// number, or a string field under sum, avg, min, max, a topk rank or
+  /// a map; count reads no field, and == and != accept any kinds. On an
+  /// error found while instantiating, the nodes the install created are
+  /// destroyed and the shared ones released again, so a failed install
+  /// leaves the engine unchanged.
   Status InstallQuery(int query_id, const QueryPlan& plan);
 
   /// Removes the query; operators no longer referenced by any query are
   /// destroyed (their state is discarded). Costs O(plan) plus, per
-  /// destroyed node, its input edges and one scan of the runtime nodes.
+  /// destroyed node, one scan of the runtime nodes.
   Status UninstallQuery(int query_id);
 
   bool IsInstalled(int query_id) const;
@@ -203,15 +217,17 @@ class Engine {
   /// detaches the query's sink first, if it was attached.
   void Release(const Query& query);
 
-  /// Builds the concrete operator for `spec` (validating fields).
+  /// Builds the concrete operator for `spec`, validating that each field
+  /// it names exists and has a type the operator can read.
   Result<OperatorPtr> MakeOperator(const OpSpec& spec,
                                    const std::vector<SchemaPtr>& inputs) const;
 
-  /// Pushes `tuple` into `node`'s downstream inboxes and sinks.
-  void Deliver(Node* node, const Tuple& tuple);
+  /// Hands `node`'s batch for this pass to the sinks it feeds.
+  void FeedSinks(const Node& node);
 
-  /// One full pass over the topological order, draining every inbox and
-  /// advancing windows to `now`. Returns the cost consumed.
+  /// One full pass over the topological order: each node reads its
+  /// inputs' batches and advances its windows to `now`, appending to its
+  /// own batch; then every batch is cleared. Returns the cost consumed.
   double ProcessPass(VirtualTime now);
 
   /// Source tap of source `s` (nullptr when no installed plan reads it).
@@ -223,12 +239,11 @@ class Engine {
 
   std::map<std::string, std::unique_ptr<Node>> nodes_;  // By signature.
   std::vector<Node*> topo_;  // Creation order == topological order.
+  int64_t next_seq_ = 0;     // Node::seq of the next node created.
   std::map<int, Query> queries_;  // By query id.
 
-  // Scratch buffers reused across ticks: one source's arrivals, and one
-  // operator invocation's outputs.
+  // Scratch buffer reused across ticks: one source's arrivals.
   std::vector<Tuple> arrivals_;
-  std::vector<Tuple> outputs_;
 
   VirtualTime now_ = 0.0;
   double last_run_cost_ = 0.0;

@@ -2,6 +2,7 @@
 
 #include "stream/operators/aggregate.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -45,7 +46,7 @@ AggregateOperator::AggregateOperator(const SchemaPtr& input_schema,
                                      const std::string& group_field,
                                      WindowSpec window)
     : fn_(fn),
-      agg_field_index_(fn == AggFn::kCount && agg_field.empty()
+      agg_field_index_(fn == AggFn::kCount
                            ? -1
                            : input_schema->FieldIndex(agg_field)),
       group_field_index_(group_field.empty()
@@ -76,8 +77,8 @@ void AggregateOperator::Process(int port, const Tuple& tuple,
       agg_field_index_ >= 0 ? tuple.value(agg_field_index_).AsDouble()
                             : 1.0;
   const bool grouped = group_field_index_ >= 0;
-  const std::string key =
-      grouped ? tuple.value(group_field_index_).ToKey() : std::string();
+  const Value ungrouped;
+  const Value& key = grouped ? tuple.value(group_field_index_) : ungrouped;
   // Windows are aligned at multiples of slide. A tuple at ts belongs to
   // every window [s, s+size) with s <= ts < s+size and s = k*slide.
   const VirtualTime ts = tuple.timestamp();
@@ -85,11 +86,18 @@ void AggregateOperator::Process(int port, const Tuple& tuple,
     const VirtualTime s = k * window_.slide;
     if (s < 0.0 && k < 0.0) break;
     if (s + window_.size <= ts) break;
-    OpenWindow& w = open_[s];
-    w.start = s;
+    auto [it, opened] = open_.try_emplace(s);
+    OpenWindow& w = it->second;
+    if (opened) {
+      w.start = s;
+      if (!spare_groups_.empty()) {
+        w.groups = std::move(spare_groups_.back());
+        spare_groups_.pop_back();
+      }
+    }
     Group& group = w.groups[key];
     group.acc.Add(x);
-    if (grouped) group.value = tuple.value(group_field_index_);
+    if (grouped) group.value = key;
     if (k == 0.0) break;
   }
 }
@@ -97,12 +105,18 @@ void AggregateOperator::Process(int port, const Tuple& tuple,
 void AggregateOperator::EmitWindow(const OpenWindow& w,
                                    std::vector<Tuple>* out) {
   const VirtualTime end = w.start + window_.size;
-  for (const auto& [key, group] : w.groups) {
+  order_.clear();
+  for (const auto& [key, group] : w.groups) {  // NOLINT(determinism): only collects; sorted by ToKey below before any emission.
+    order_.emplace_back(key.ToKey(), &group);
+  }
+  std::sort(order_.begin(), order_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [key, group] : order_) {
     std::vector<Value> values;
     values.reserve(static_cast<size_t>(output_schema_->num_fields()));
-    if (group_field_index_ >= 0) values.push_back(group.value);
+    if (group_field_index_ >= 0) values.push_back(group->value);
     values.emplace_back(end);
-    values.emplace_back(group.acc.Final(fn_));
+    values.emplace_back(group->acc.Final(fn_));
     out->emplace_back(output_schema_, std::move(values), end);
   }
 }
@@ -112,6 +126,8 @@ void AggregateOperator::AdvanceTime(VirtualTime now,
   auto it = open_.begin();
   while (it != open_.end() && it->first + window_.size <= now) {
     EmitWindow(it->second, out);
+    it->second.groups.clear();
+    spare_groups_.push_back(std::move(it->second.groups));
     it = open_.erase(it);
   }
 }

@@ -9,6 +9,8 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "stream/operator.h"
@@ -65,28 +67,37 @@ class AggregateOperator : public OperatorBase {
   };
 
   // One group of one open window: its accumulator and the group-by value
-  // last seen under its key (keys are Value::ToKey() strings, so distinct
-  // doubles can share one).
+  // last seen in its key class (groups are keyed by Value under ToKey's
+  // equivalence, so distinct doubles that print alike share one).
   struct Group {
     Accumulator acc;
     Value value;
   };
 
-  // One open window instance.
+  // A window's groups by group-by value (Value() when ungrouped).
+  using GroupMap =
+      std::unordered_map<Value, Group, ValueKeyHash, ValueKeyEqual>;
+
+  // One open window instance. Emission sorts its groups by ToKey(), so
+  // they leave in key-string order ("i:10" before "i:2").
   struct OpenWindow {
     VirtualTime start = 0.0;
-    // Group key -> group ("" for ungrouped); emission follows key order.
-    std::map<std::string, Group> groups;
+    GroupMap groups;
   };
 
   void EmitWindow(const OpenWindow& w, std::vector<Tuple>* out);
 
   SchemaPtr output_schema_;
   AggFn fn_;
-  int agg_field_index_;    // -1 for count-only.
+  int agg_field_index_;    // -1 for count, which reads no field.
   int group_field_index_;  // -1 when ungrouped.
   WindowSpec window_;
   std::map<VirtualTime, OpenWindow> open_;  // keyed by window start.
+  // Closed windows' emptied group maps, which keep their buckets for the
+  // next windows to open.
+  std::vector<GroupMap> spare_groups_;
+  // Emission scratch: the closing window's groups with their ToKey().
+  std::vector<std::pair<std::string, const Group*>> order_;
 };
 
 }  // namespace streambid::stream

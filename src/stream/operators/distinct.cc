@@ -20,7 +20,7 @@ void DistinctOperator::Process(int port, const Tuple& tuple,
                                std::vector<Tuple>* out) {
   STREAMBID_DCHECK(port == 0);
   (void)port;
-  const std::string key = tuple.value(key_index_).ToKey();
+  const Value& key = tuple.value(key_index_);
   auto it = last_seen_.find(key);
   if (it != last_seen_.end() &&
       tuple.timestamp() - it->second < window_) {

@@ -34,7 +34,9 @@ class DistinctOperator : public OperatorBase {
   SchemaPtr schema_;
   int key_index_;
   VirtualTime window_;
-  std::unordered_map<std::string, VirtualTime> last_seen_;
+  // Key value (under ToKey's classes) -> timestamp it last passed.
+  std::unordered_map<Value, VirtualTime, ValueKeyHash, ValueKeyEqual>
+      last_seen_;
 };
 
 }  // namespace streambid::stream

@@ -44,7 +44,7 @@ void JoinOperator::Process(int port, const Tuple& tuple,
   Side& mine = sides_[port];
   Side& other = sides_[1 - port];
 
-  const std::string key = tuple.value(mine.key_index).ToKey();
+  const Value& key = tuple.value(mine.key_index);
   // Probe the other side within the window.
   auto it = other.table.find(key);
   if (it != other.table.end()) {

@@ -39,11 +39,14 @@ class JoinOperator : public OperatorBase {
  private:
   struct Side {
     int key_index = -1;
-    // Key -> buffered tuples (insertion order preserves timestamps).
-    std::unordered_map<std::string, std::deque<Tuple>> table;
+    // Key value (under ToKey's classes) -> buffered tuples (insertion
+    // order preserves timestamps).
+    std::unordered_map<Value, std::deque<Tuple>, ValueKeyHash,
+                       ValueKeyEqual>
+        table;
     size_t buffered = 0;
 
-    void Insert(const std::string& key, const Tuple& tuple) {
+    void Insert(const Value& key, const Tuple& tuple) {
       table[key].push_back(tuple);
       ++buffered;
     }

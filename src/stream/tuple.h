@@ -19,9 +19,10 @@ using VirtualTime = double;
 
 /// One stream element: a schema, field values, and an event timestamp in
 /// virtual time. A Tuple is a handle to one immutable payload, so copying
-/// a tuple (fan-out to several consumers, a select or union passing it
-/// through, a window or sink keeping it) copies a pointer and bumps an
-/// atomic refcount; the values themselves are never copied. The refcount
+/// a tuple (a select or union passing it through, a window or sink
+/// keeping it) copies a pointer and bumps an atomic refcount; the values
+/// themselves are never copied. Fan-out copies no handle at all: every
+/// consumer reads its producer's batch in place. The refcount
 /// is atomic because sink histories are read from other threads once a
 /// period's tasks have joined. A default Tuple has no payload and reads
 /// as empty: null schema, no values, timestamp 0.

@@ -4,6 +4,7 @@
 #ifndef STREAMBID_STREAM_VALUE_H_
 #define STREAMBID_STREAM_VALUE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -94,11 +95,32 @@ class Value {
   /// Render for debugging and sinks.
   std::string ToString() const;
 
-  /// Hash key usable for group-by and join keys.
+  /// Hash key usable for group-by and join keys: "i:<int>", "d:<%.6g>"
+  /// or "s:<string>", so 1, 1.0 and "1" key apart while doubles that
+  /// print alike at six significant digits key together.
   std::string ToKey() const;
+
+  /// True exactly when ToKey() == other.ToKey(), without building either
+  /// key: int64 and string values compare by value, doubles by their
+  /// %.6g spelling (rendered only when the two are not bit-identical).
+  bool SameKey(const Value& other) const;
+
+  /// Hash that agrees with SameKey (equal for same-key values).
+  size_t KeyHash() const;
 
  private:
   std::variant<int64_t, double, std::string> data_;
+};
+
+/// Hash and equality functors keying unordered containers by Value under
+/// ToKey's equivalence classes (group-by, distinct and join state).
+struct ValueKeyHash {
+  size_t operator()(const Value& v) const { return v.KeyHash(); }
+};
+struct ValueKeyEqual {
+  bool operator()(const Value& a, const Value& b) const {
+    return a.SameKey(b);
+  }
 };
 
 }  // namespace streambid::stream

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "stream/load_estimator.h"
 #include "stream/query_builder.h"
@@ -288,6 +290,56 @@ TEST_F(DsmsCenterTest, SubmitRejectsOverflowingLoadEstimate) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->submissions, 1);
   EXPECT_EQ(report->admitted, 1);
+}
+
+TEST_F(DsmsCenterTest, SubmitRejectsNumericOpsOnStringFields) {
+  DsmsCenterOptions options;
+  options.period_length = 5.0;
+  DsmsCenter center(options, &engine_);
+  // Each plan reads the quote source's string field symbol as a number;
+  // Submit refuses it instead of admitting a plan that aborts at run.
+  std::vector<QueryPlan> plans;
+  QueryBuilder b;
+  plans.push_back(b.Build(b.Select(b.Source("quotes"), "symbol",
+                                   CompareOp::kGt, Value(5.0))));
+  plans.push_back(b.Build(b.Aggregate(b.Source("quotes"),
+                                      stream::AggFn::kAvg, "symbol", "",
+                                      {10.0, 10.0})));
+  plans.push_back(b.Build(b.TopK(b.Source("quotes"), 2, "symbol", 10.0)));
+  plans.push_back(b.Build(b.Map(b.Source("quotes"), "symbol",
+                                stream::MapFn::kMul, 2.0, "twice")));
+  int id = 0;
+  for (QueryPlan& plan : plans) {
+    QuerySubmission sub;
+    sub.query_id = ++id;
+    sub.user = 1;
+    sub.bid = 10.0;
+    sub.plan = std::move(plan);
+    EXPECT_EQ(center.Submit(std::move(sub)).status().code(),
+              StatusCode::kInvalidArgument)
+        << "plan " << id;
+    EXPECT_EQ(center.pending_submissions(), 0);
+  }
+
+  // count reads no field, and == across kinds is simply false: each is
+  // admitted and runs for a period.
+  plans.clear();
+  plans.push_back(b.Build(b.Aggregate(b.Source("quotes"),
+                                      stream::AggFn::kCount, "symbol", "",
+                                      {1.0, 1.0})));
+  plans.push_back(b.Build(b.Select(b.Source("quotes"), "symbol",
+                                   CompareOp::kEq, Value(5.0))));
+  for (QueryPlan& plan : plans) {
+    QuerySubmission sub;
+    sub.query_id = ++id;
+    sub.user = 1;
+    sub.bid = 10.0;
+    sub.plan = std::move(plan);
+    ASSERT_TRUE(center.Submit(std::move(sub)).ok()) << "plan " << id;
+    auto report = center.RunPeriod();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->admitted, 1) << "plan " << id;
+  }
 }
 
 TEST_F(DsmsCenterTest, SubmitReturnsTheLoadEstimate) {

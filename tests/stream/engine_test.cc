@@ -40,6 +40,28 @@ class CounterSource final : public StreamSource {
   int64_t n_ = 0;
 };
 
+/// Numbers its tuples 0, 1, 2, ... and tags each with its parity, so
+/// a sink's order shows which input each tuple came through.
+class ParitySource final : public StreamSource {
+ public:
+  ParitySource(std::string name, double rate)
+      : StreamSource(std::move(name),
+                     MakeSchema({{"seq", ValueType::kInt64},
+                                 {"odd", ValueType::kInt64}}),
+                     rate, /*seed=*/1) {}
+
+ protected:
+  std::vector<Value> Generate(VirtualTime ts, Rng& rng) override {
+    (void)ts;
+    (void)rng;
+    const int64_t seq = next_++;
+    return {Value(seq), Value(seq % 2)};
+  }
+
+ private:
+  int64_t next_ = 0;
+};
+
 class EngineTest : public ::testing::Test {
  protected:
   EngineTest() : engine_(EngineOptions{100.0, 1.0, 16}) {
@@ -444,6 +466,81 @@ TEST_F(EngineTest, AggregateQueryEmitsWindows) {
   const SinkStats* sink = engine_.sink(9);
   ASSERT_NE(sink, nullptr);
   EXPECT_EQ(sink->tuples, 4);
+}
+
+TEST_F(EngineTest, UnionReadsOlderInputFirst) {
+  ASSERT_TRUE(engine_
+                  .RegisterSource(std::make_unique<ParitySource>(
+                      "seq", /*rate=*/4.0))
+                  .ok());
+  QueryBuilder b;
+  int src = b.Source("seq");
+  ASSERT_TRUE(engine_
+                  .InstallQuery(1, b.Build(b.Select(src, "odd",
+                                                    CompareOp::kEq,
+                                                    Value(int64_t{1}))))
+                  .ok());
+  // union(select(even), select(odd)): port 1's select(odd) is shared
+  // with query 1, so it is older than port 0's select(even).
+  src = b.Source("seq");
+  const int evens =
+      b.Select(src, "odd", CompareOp::kEq, Value(int64_t{0}));
+  const int odds = b.Select(src, "odd", CompareOp::kEq, Value(int64_t{1}));
+  ASSERT_TRUE(engine_.InstallQuery(2, b.Build(b.Union(evens, odds))).ok());
+  engine_.Run(3.0);
+  // Each tick's arrivals (0-4, 5-8, 9-12 at 4 tuples/s) reach the union
+  // older input first: the odd ones, then the even ones.
+  std::vector<int64_t> seqs;
+  for (const Tuple& t : engine_.sink(2)->recent) {
+    seqs.push_back(t.field("seq").AsInt64());
+  }
+  EXPECT_EQ(seqs, (std::vector<int64_t>{1, 3, 0, 2, 4, 5, 7, 6, 8, 9, 11,
+                                        10, 12}));
+}
+
+TEST_F(EngineTest, SelfJoinFeedsBothPortsPerTuple) {
+  QueryBuilder b;
+  const int src = b.Source("quotes");
+  ASSERT_TRUE(engine_
+                  .InstallQuery(1, b.Build(b.Join(src, src, "symbol",
+                                                  "symbol", 10.0)))
+                  .ok());
+  // Four quotes, B2 A3 B4 A5 (symbol, price). Each reaches port 0, then
+  // port 1, before the next quote, so a quote meets itself once, on
+  // port 1, and the earlier quotes of its symbol on both ports.
+  engine_.Run(0.35);
+  std::vector<std::string> pairs;
+  for (const Tuple& t : engine_.sink(1)->recent) {
+    pairs.push_back(t.field("symbol").AsString() +
+                    t.field("price").ToString() + "/" +
+                    t.field("r_symbol").AsString() +
+                    t.field("r_price").ToString());
+  }
+  EXPECT_EQ(pairs, (std::vector<std::string>{"B2/B2", "A3/A3", "B4/B2",
+                                             "B2/B4", "B4/B4", "A5/A3",
+                                             "A3/A5", "A5/A5"}));
+  EXPECT_EQ(engine_.sink(1)->tuples, 8);
+}
+
+TEST_F(EngineTest, CountOverStringFieldRuns) {
+  // count reads no field, so counting the string field symbol counts the
+  // same tuples as counting the numeric field price.
+  int id = 0;
+  for (const char* field : {"symbol", "price"}) {
+    QueryBuilder b;
+    const int src = b.Source("quotes");
+    ASSERT_TRUE(engine_
+                    .InstallQuery(++id, b.Build(b.Aggregate(
+                                            src, AggFn::kCount, field, "",
+                                            {10.0, 10.0})))
+                    .ok());
+  }
+  engine_.Run(15.0);
+  ASSERT_EQ(engine_.sink(1)->tuples, 1);
+  ASSERT_EQ(engine_.sink(2)->tuples, 1);
+  const double symbols = engine_.sink(1)->recent[0].field("value").AsDouble();
+  EXPECT_GT(symbols, 0.0);
+  EXPECT_EQ(symbols, engine_.sink(2)->recent[0].field("value").AsDouble());
 }
 
 TEST_F(EngineTest, DeriveOutputSchemaMatchesInstalled) {

@@ -124,7 +124,7 @@ TEST(AggregateOperatorTest, GroupedAverages) {
   agg.Process(0, Quote(s, "AAPL", 5.0, 1, 3.0), &out);
   agg.AdvanceTime(10.0, &out);
   ASSERT_EQ(out.size(), 2u);
-  // Groups emit in key order (map iteration): AAPL then IBM.
+  // Groups emit in key order: AAPL then IBM.
   EXPECT_EQ(out[0].field("symbol").AsString(), "AAPL");
   EXPECT_DOUBLE_EQ(out[0].field("value").AsDouble(), 5.0);
   EXPECT_EQ(out[1].field("symbol").AsString(), "IBM");
@@ -181,6 +181,35 @@ TEST(AggregateOperatorTest, DoubleGroupKeysKeepLastValue) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].field("level").AsDouble(), 1.0000002);
   EXPECT_DOUBLE_EQ(out[0].field("value").AsDouble(), 5.0);
+}
+
+TEST(AggregateOperatorTest, GroupsEmitInKeyOrder) {
+  // Groups leave in Value::ToKey() order, which compares the spelling:
+  // "i:10" < "i:2", and "s:a" < "s:b".
+  SchemaPtr sensors = MakeSchema({{"sensor", ValueType::kInt64},
+                                  {"x", ValueType::kDouble}});
+  AggregateOperator by_int(sensors, AggFn::kSum, "x", "sensor",
+                           {10.0, 10.0});
+  std::vector<Tuple> out;
+  by_int.Process(0, Tuple(sensors, {Value(int64_t{2}), Value(1.0)}, 1.0),
+                 &out);
+  by_int.Process(0, Tuple(sensors, {Value(int64_t{10}), Value(2.0)}, 2.0),
+                 &out);
+  by_int.AdvanceTime(10.0, &out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].field("sensor").AsInt64(), 10);
+  EXPECT_EQ(out[1].field("sensor").AsInt64(), 2);
+
+  SchemaPtr s = QuoteSchema();
+  AggregateOperator by_string(s, AggFn::kSum, "price", "symbol",
+                              {10.0, 10.0});
+  out.clear();
+  by_string.Process(0, Quote(s, "b", 1.0, 1, 1.0), &out);
+  by_string.Process(0, Quote(s, "a", 2.0, 1, 2.0), &out);
+  by_string.AdvanceTime(10.0, &out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].field("symbol").AsString(), "a");
+  EXPECT_EQ(out[1].field("symbol").AsString(), "b");
 }
 
 TEST(JoinOperatorTest, MatchesWithinWindow) {

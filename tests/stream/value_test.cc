@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 namespace streambid::stream {
 namespace {
 
@@ -47,6 +51,45 @@ TEST(ValueTest, ToStringRendering) {
 TEST(ValueTest, KeysDistinguishTypes) {
   EXPECT_NE(Value(int64_t{1}).ToKey(), Value("1").ToKey());
   EXPECT_EQ(Value("IBM").ToKey(), Value("IBM").ToKey());
+}
+
+TEST(ValueTest, SameKeyMatchesToKey) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> values = {
+      Value(int64_t{0}),
+      Value(int64_t{1}),
+      Value(int64_t{-1}),
+      Value(int64_t{10}),
+      Value(std::numeric_limits<int64_t>::min()),
+      Value(1.0),
+      Value(1.0000001),
+      Value(1.0000002),
+      Value(0.0),
+      Value(-0.0),
+      Value(std::numeric_limits<double>::quiet_NaN()),
+      Value(inf),
+      Value(-inf),
+      Value(1e300),
+      Value(""),
+      Value("1"),
+      Value("IBM"),
+      Value(std::string(40, 'x')),
+  };
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      const bool same = a.ToKey() == b.ToKey();
+      EXPECT_EQ(a.SameKey(b), same) << a.ToKey() << " vs " << b.ToKey();
+      if (a.SameKey(b)) {
+        EXPECT_EQ(a.KeyHash(), b.KeyHash()) << a.ToKey();
+      }
+    }
+  }
+  // The classes the keyed operators rely on.
+  EXPECT_FALSE(Value(int64_t{1}).SameKey(Value(1.0)));
+  EXPECT_FALSE(Value(int64_t{1}).SameKey(Value("1")));
+  EXPECT_FALSE(Value(1.0).SameKey(Value("1")));
+  EXPECT_TRUE(Value(1.0000001).SameKey(Value(1.0000002)));
+  EXPECT_FALSE(Value(0.0).SameKey(Value(-0.0)));
 }
 
 TEST(ValueTest, DefaultIsZeroInt) {
