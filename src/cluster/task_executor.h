@@ -165,9 +165,7 @@ class TaskExecutor {
 
   std::vector<std::unique_ptr<service::AdmissionService>> services_;
 
-  mutable Mutex mutex_ ACQUIRED_AFTER(kExecutorRankBoundary)
-      ACQUIRED_BEFORE(kTelemetryRankBoundary) =
-          Mutex{LockRank::kExecutorQueue, "executor/queue"};
+  mutable Mutex mutex_ = Mutex{LockRank::kExecutorQueue, "executor/queue"};
   CondVar work_cv_;  ///< Signals queued work and stop.
   CondVar done_cv_;  ///< Signals a finished batch.
   /// The FIFO: items [head_, queue_.size()) are pending. Consumed

@@ -50,10 +50,6 @@
 #define SCOPED_CAPABILITY STREAMBID_THREAD_ANNOTATION_(scoped_lockable)
 #define GUARDED_BY(x) STREAMBID_THREAD_ANNOTATION_(guarded_by(x))
 #define PT_GUARDED_BY(x) STREAMBID_THREAD_ANNOTATION_(pt_guarded_by(x))
-#define ACQUIRED_BEFORE(...) \
-  STREAMBID_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
-#define ACQUIRED_AFTER(...) \
-  STREAMBID_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
 #define REQUIRES(...) \
   STREAMBID_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
 #define REQUIRES_SHARED(...) \
@@ -76,30 +72,6 @@
   STREAMBID_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
 namespace streambid {
-
-/// Phantom capability anchoring the cross-class half of the declared
-/// lock hierarchy (common/lock_order.h). The boundaries below are never
-/// locked; they exist so every Mutex member — whose ACQUIRED_BEFORE /
-/// ACQUIRED_AFTER arguments must name capabilities visible at its
-/// declaration — can chain to the layer order (gate → executor →
-/// telemetry → leaf) even when its real neighbors live in other
-/// classes. Clang parses the chain today and checks it wherever
-/// -Wthread-safety-beta is enabled; the lock-order lint and the runtime
-/// sentinel enforce the same order unconditionally.
-class CAPABILITY("mutex") RankBoundary {
- public:
-  constexpr RankBoundary() = default;
-  RankBoundary(const RankBoundary&) = delete;
-  RankBoundary& operator=(const RankBoundary&) = delete;
-};
-
-inline constexpr RankBoundary kGateRankBoundary;
-inline constexpr RankBoundary kExecutorRankBoundary
-    ACQUIRED_AFTER(kGateRankBoundary);
-inline constexpr RankBoundary kTelemetryRankBoundary
-    ACQUIRED_AFTER(kExecutorRankBoundary);
-inline constexpr RankBoundary kLeafRankBoundary
-    ACQUIRED_AFTER(kTelemetryRankBoundary);
 
 /// The repo's mutex: std::mutex carrying the capability attribute so
 /// the analysis can name it in GUARDED_BY/REQUIRES expressions, plus a

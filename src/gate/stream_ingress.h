@@ -171,9 +171,7 @@ class StreamIngress {
   std::vector<std::unique_ptr<TicketHolder>> pools_;
   ThroughputProbe probe_;
 
-  mutable Mutex mutex_ ACQUIRED_AFTER(kGateRankBoundary)
-      ACQUIRED_BEFORE(kExecutorRankBoundary) =
-          Mutex{LockRank::kGateIngress, "gate/ingress"};
+  mutable Mutex mutex_ = Mutex{LockRank::kGateIngress, "gate/ingress"};
   /// Ticket-holding submissions awaiting the next drain, with the class
   /// whose pool each ticket came from.
   struct Buffered {

@@ -112,9 +112,8 @@ class TicketHolder {
   }
 
   const std::string name_;
-  mutable Mutex mutex_ ACQUIRED_AFTER(kGateRankBoundary)
-      ACQUIRED_BEFORE(kExecutorRankBoundary) =
-          Mutex{LockRank::kGateTicketPool, "gate/ticket_pool"};
+  mutable Mutex mutex_ =
+      Mutex{LockRank::kGateTicketPool, "gate/ticket_pool"};
   CondVar cv_;
   int capacity_ GUARDED_BY(mutex_);
   int used_ GUARDED_BY(mutex_) = 0;

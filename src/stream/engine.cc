@@ -16,11 +16,44 @@ namespace streambid::stream {
 
 namespace {
 
-// Whether the existing field `field` of `schema` holds strings, which the
-// numeric operators (an ordering compare against a number, sum, avg,
-// min, max, a topk rank, a map) cannot read.
-bool IsStringField(const Schema& schema, const std::string& field) {
-  return schema.field(schema.FieldIndex(field)).type == ValueType::kString;
+// The operator that runs `spec` over inputs of schemas `inputs`, building
+// its tuples with `schema`, which is spec.OutputSchema(inputs).
+OperatorPtr MakeOperator(const OpSpec& spec,
+                         const std::vector<SchemaPtr>& inputs,
+                         SchemaPtr schema) {
+  switch (spec.kind) {
+    case OpKind::kSource:
+      break;
+    case OpKind::kSelect:
+      return OperatorPtr(new SelectOperator(inputs[0], spec.field,
+                                            spec.compare_op, spec.operand));
+    case OpKind::kProject:
+      return OperatorPtr(
+          new ProjectOperator(inputs[0], spec.fields, std::move(schema)));
+    case OpKind::kMap:
+      return OperatorPtr(new MapOperator(inputs[0], spec.field, spec.map_fn,
+                                         spec.map_operand,
+                                         std::move(schema)));
+    case OpKind::kAggregate:
+      return OperatorPtr(new AggregateOperator(
+          inputs[0], spec.agg_fn, spec.field, spec.group_field, spec.window,
+          std::move(schema)));
+    case OpKind::kJoin:
+      return OperatorPtr(new JoinOperator(inputs[0], inputs[1],
+                                          spec.left_key, spec.right_key,
+                                          spec.join_window,
+                                          std::move(schema)));
+    case OpKind::kUnion:
+      return OperatorPtr(new UnionOperator(inputs[0], inputs[1]));
+    case OpKind::kTopK:
+      return OperatorPtr(new TopKOperator(std::move(schema), spec.top_k,
+                                          spec.field, spec.window.size));
+    case OpKind::kDistinct:
+      return OperatorPtr(new DistinctOperator(inputs[0], spec.field,
+                                              spec.window.size));
+  }
+  STREAMBID_CHECK(false);  // A source tap has no operator.
+  return nullptr;
 }
 
 }  // namespace
@@ -79,115 +112,6 @@ const StreamSource* Engine::source(const std::string& name) const {
                                          .get();
 }
 
-Result<OperatorPtr> Engine::MakeOperator(
-    const OpSpec& spec, const std::vector<SchemaPtr>& inputs) const {
-  switch (spec.kind) {
-    case OpKind::kSource:
-      return Status::Internal("source specs have no operator");
-    case OpKind::kSelect: {
-      if (!inputs[0]->HasField(spec.field)) {
-        return Status::InvalidArgument("select: unknown field " +
-                                       spec.field);
-      }
-      // == and != across kinds are simply false and true; an ordering
-      // compare needs both sides of one kind.
-      const bool ordering = spec.compare_op != CompareOp::kEq &&
-                            spec.compare_op != CompareOp::kNe;
-      if (ordering && IsStringField(*inputs[0], spec.field) ==
-                          spec.operand.is_numeric()) {
-        return Status::InvalidArgument(
-            "select: " + spec.field + " " +
-            CompareOpToken(spec.compare_op) +
-            " compares a string with a number");
-      }
-      return OperatorPtr(new SelectOperator(inputs[0], spec.field,
-                                            spec.compare_op, spec.operand));
-    }
-    case OpKind::kProject: {
-      for (const std::string& f : spec.fields) {
-        if (!inputs[0]->HasField(f)) {
-          return Status::InvalidArgument("project: unknown field " + f);
-        }
-      }
-      return OperatorPtr(new ProjectOperator(inputs[0], spec.fields));
-    }
-    case OpKind::kMap: {
-      if (!inputs[0]->HasField(spec.field)) {
-        return Status::InvalidArgument("map: unknown field " + spec.field);
-      }
-      if (IsStringField(*inputs[0], spec.field)) {
-        return Status::InvalidArgument("map: string field " + spec.field +
-                                       " is not numeric");
-      }
-      return OperatorPtr(new MapOperator(inputs[0], spec.field, spec.map_fn,
-                                         spec.map_operand,
-                                         spec.output_field));
-    }
-    case OpKind::kAggregate: {
-      if (spec.agg_fn != AggFn::kCount || !spec.field.empty()) {
-        if (!inputs[0]->HasField(spec.field)) {
-          return Status::InvalidArgument("aggregate: unknown field " +
-                                         spec.field);
-        }
-        // count reads no field, so it counts tuples of any field type.
-        if (spec.agg_fn != AggFn::kCount &&
-            IsStringField(*inputs[0], spec.field)) {
-          return Status::InvalidArgument(
-              std::string("aggregate: ") + AggFnName(spec.agg_fn) +
-              " over string field " + spec.field);
-        }
-      }
-      if (!spec.group_field.empty() &&
-          !inputs[0]->HasField(spec.group_field)) {
-        return Status::InvalidArgument("aggregate: unknown group field " +
-                                       spec.group_field);
-      }
-      return OperatorPtr(new AggregateOperator(
-          inputs[0], spec.agg_fn, spec.field, spec.group_field, spec.window));
-    }
-    case OpKind::kJoin: {
-      if (!inputs[0]->HasField(spec.left_key)) {
-        return Status::InvalidArgument("join: unknown left key " +
-                                       spec.left_key);
-      }
-      if (!inputs[1]->HasField(spec.right_key)) {
-        return Status::InvalidArgument("join: unknown right key " +
-                                       spec.right_key);
-      }
-      return OperatorPtr(new JoinOperator(inputs[0], inputs[1],
-                                          spec.left_key, spec.right_key,
-                                          spec.join_window));
-    }
-    case OpKind::kUnion: {
-      if (!(*inputs[0] == *inputs[1])) {
-        return Status::InvalidArgument("union: input schemas differ");
-      }
-      return OperatorPtr(new UnionOperator(inputs[0], inputs[1]));
-    }
-    case OpKind::kTopK: {
-      if (!inputs[0]->HasField(spec.field)) {
-        return Status::InvalidArgument("topk: unknown rank field " +
-                                       spec.field);
-      }
-      if (IsStringField(*inputs[0], spec.field)) {
-        return Status::InvalidArgument("topk: string rank field " +
-                                       spec.field + " is not numeric");
-      }
-      return OperatorPtr(new TopKOperator(inputs[0], spec.top_k,
-                                          spec.field, spec.window.size));
-    }
-    case OpKind::kDistinct: {
-      if (!inputs[0]->HasField(spec.field)) {
-        return Status::InvalidArgument("distinct: unknown key field " +
-                                       spec.field);
-      }
-      return OperatorPtr(new DistinctOperator(inputs[0], spec.field,
-                                              spec.window.size));
-    }
-  }
-  return Status::Internal("unknown operator kind");
-}
-
 Status Engine::Instantiate(const QueryPlan& plan, int idx,
                            std::vector<std::string>* sigs,
                            std::vector<Node*>* made, Query* query) {
@@ -225,9 +149,9 @@ Status Engine::Instantiate(const QueryPlan& plan, int idx,
       for (const auto& [input, port] : reads) {
         input_schemas.push_back(input->schema);
       }
-      STREAMBID_ASSIGN_OR_RETURN(fresh->op,
-                                 MakeOperator(pn.spec, input_schemas));
-      fresh->schema = fresh->op->output_schema();
+      STREAMBID_ASSIGN_OR_RETURN(fresh->schema,
+                                 pn.spec.OutputSchema(input_schemas));
+      fresh->op = MakeOperator(pn.spec, input_schemas, fresh->schema);
     }
     fresh->cost = pn.spec.cost_per_tuple();
     fresh->seq = next_seq_++;
@@ -252,31 +176,6 @@ Status Engine::Instantiate(const QueryPlan& plan, int idx,
     query->nodes.push_back(node);
   }
   return Status::Ok();
-}
-
-Result<SchemaPtr> Engine::DeriveOutputSchema(const QueryPlan& plan) const {
-  STREAMBID_RETURN_IF_ERROR(plan.Validate());
-  // Derive schemas bottom-up without touching engine state.
-  std::vector<SchemaPtr> schemas(plan.nodes.size());
-  for (size_t i = 0; i < plan.nodes.size(); ++i) {
-    const QueryPlan::Node& pn = plan.nodes[i];
-    if (pn.spec.kind == OpKind::kSource) {
-      const StreamSource* src = source(pn.spec.source_name);
-      if (src == nullptr) {
-        return Status::NotFound("unknown source: " + pn.spec.source_name);
-      }
-      schemas[i] = src->schema();
-      continue;
-    }
-    std::vector<SchemaPtr> inputs;
-    for (int in : pn.inputs) {
-      inputs.push_back(schemas[static_cast<size_t>(in)]);
-    }
-    STREAMBID_ASSIGN_OR_RETURN(OperatorPtr op,
-                               MakeOperator(pn.spec, inputs));
-    schemas[i] = op->output_schema();
-  }
-  return schemas[static_cast<size_t>(plan.output_node)];
 }
 
 Status Engine::InstallQuery(int query_id, const QueryPlan& plan) {

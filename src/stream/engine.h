@@ -27,10 +27,12 @@
 // list of its distinct runtime nodes, and a node keeps a count of the
 // queries subscribed to it, its input nodes (a producer keeps no list
 // of consumers), pointers to the sinks it feeds, and its plan spec's
-// per-tuple cost. Installing costs one pass over the plan and builds an
-// operator only for each node it creates; uninstalling visits only the
-// query's own nodes and, for each node it orphans, one scan of the
-// topological order to unlink it.
+// per-tuple cost. The plan spec decides what each node emits
+// (OpSpec::OutputSchema); an operator only processes tuples. Installing
+// costs one pass over the plan and builds an operator only for each
+// node it creates, once, from the schema it derived; uninstalling visits
+// only the query's own nodes and, for each node it orphans, one scan of
+// the topological order to unlink it.
 
 #ifndef STREAMBID_STREAM_ENGINE_H_
 #define STREAMBID_STREAM_ENGINE_H_
@@ -41,7 +43,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "stream/operator.h"
 #include "stream/query.h"
 #include "stream/stream_source.h"
 
@@ -112,22 +113,17 @@ class Engine {
 
   // --- Query management ---------------------------------------------
 
-  /// Runs QueryPlan::Validate, then validates `plan` against the
-  /// registered sources and derives its output schema without
-  /// installing anything.
-  Result<SchemaPtr> DeriveOutputSchema(const QueryPlan& plan) const;
-
   /// Runs QueryPlan::Validate, then instantiates `plan` for `query_id`,
-  /// sharing identical subtrees with already-installed queries. Errors:
-  /// kAlreadyExists (id in use), kInvalidArgument (bad structure, an
-  /// unknown field, a field of a type its operator cannot read, or union
-  /// inputs whose schemas differ), kNotFound (unknown source). A type
-  /// error is an ordering compare (<, <=, >, >=) between a string and a
-  /// number, or a string field under sum, avg, min, max, a topk rank or
-  /// a map; count reads no field, and == and != accept any kinds. On an
-  /// error found while instantiating, the nodes the install created are
-  /// destroyed and the shared ones released again, so a failed install
-  /// leaves the engine unchanged.
+  /// sharing identical subtrees with already-installed queries; each new
+  /// node takes the schema OpSpec::OutputSchema derives over its inputs'
+  /// schemas. Errors: kAlreadyExists (id in use), kInvalidArgument (bad
+  /// structure, or any OutputSchema error: an unknown field, a field of
+  /// a type its operator cannot read, union inputs whose schemas differ,
+  /// an output that repeats a field name), kNotFound (unknown source).
+  /// On an error found while instantiating, the nodes the install
+  /// created are destroyed and the shared ones released again, so a
+  /// failed install leaves the engine unchanged. EstimatePlanLoad fails
+  /// on the same plans with the same errors.
   Status InstallQuery(int query_id, const QueryPlan& plan);
 
   /// Removes the query; operators no longer referenced by any query are
@@ -204,10 +200,11 @@ class Engine {
   /// post-order, which keeps topo_ topological; a created node takes its
   /// signature out of `sigs`. Equal signatures mean equal specs over
   /// equal inputs (OpSpec::Signature), so a shared node has the plan's
-  /// inputs (checked) and the schema the plan expects. Fails with
-  /// kNotFound on an unknown source and with MakeOperator's error on a
-  /// bad field; the nodes made before the failure stay in query->nodes
-  /// for Release to undo.
+  /// inputs (checked) and the schema the plan expects. A created node
+  /// derives its schema with OpSpec::OutputSchema, then builds its
+  /// operator once. Fails with kNotFound on an unknown source and with
+  /// OutputSchema's error; the nodes made before the failure stay in
+  /// query->nodes for Release to undo.
   Status Instantiate(const QueryPlan& plan, int idx,
                      std::vector<std::string>* sigs,
                      std::vector<Node*>* made, Query* query);
@@ -216,11 +213,6 @@ class Engine {
   /// node no other query subscribes to. Leaves sinks alone: the caller
   /// detaches the query's sink first, if it was attached.
   void Release(const Query& query);
-
-  /// Builds the concrete operator for `spec`, validating that each field
-  /// it names exists and has a type the operator can read.
-  Result<OperatorPtr> MakeOperator(const OpSpec& spec,
-                                   const std::vector<SchemaPtr>& inputs) const;
 
   /// Hands `node`'s batch for this pass to the sinks it feeds.
   void FeedSinks(const Node& node);

@@ -12,10 +12,12 @@ namespace streambid::stream {
 Result<PlanLoadEstimate> EstimatePlanLoad(
     const Engine& engine, const QueryPlan& plan,
     const LoadEstimateOptions& options) {
-  // Structural and field-level validation via schema derivation.
-  STREAMBID_RETURN_IF_ERROR(engine.DeriveOutputSchema(plan).status());
-
+  STREAMBID_RETURN_IF_ERROR(plan.Validate());
   std::vector<std::string> sigs = plan.NodeSignatures();
+  // One walk in node order (inputs come first) types each node as
+  // InstallQuery would, then rates and prices it.
+  std::vector<SchemaPtr> schemas(plan.nodes.size());
+  std::vector<SchemaPtr> inputs;
   PlanLoadEstimate est;
   est.nodes.resize(plan.nodes.size());
   for (size_t i = 0; i < plan.nodes.size(); ++i) {
@@ -23,21 +25,27 @@ Result<PlanLoadEstimate> EstimatePlanLoad(
     NodeLoadEstimate& ne = est.nodes[i];
     ne.signature = std::move(sigs[i]);
     ne.is_source = pn.spec.kind == OpKind::kSource;
-
-    double in_rate = 0.0;
-    for (int in : pn.inputs) {
-      in_rate += est.nodes[static_cast<size_t>(in)].output_rate;
+    if (ne.is_source) {
+      const StreamSource* src = engine.source(pn.spec.source_name);
+      if (src == nullptr) {
+        return Status::NotFound("unknown source: " + pn.spec.source_name);
+      }
+      schemas[i] = src->schema();
+      ne.output_rate = src->rate();
+      continue;
     }
 
+    double in_rate = 0.0;
+    inputs.clear();
+    for (int in : pn.inputs) {
+      in_rate += est.nodes[static_cast<size_t>(in)].output_rate;
+      inputs.push_back(schemas[static_cast<size_t>(in)]);
+    }
+    STREAMBID_ASSIGN_OR_RETURN(schemas[i], pn.spec.OutputSchema(inputs));
+
     switch (pn.spec.kind) {
-      case OpKind::kSource: {
-        const StreamSource* src = engine.source(pn.spec.source_name);
-        STREAMBID_CHECK(src != nullptr);  // Validated above.
-        ne.input_rate = 0.0;
-        ne.output_rate = src->rate();
-        ne.load = 0.0;
-        continue;
-      }
+      case OpKind::kSource:  // Handled above.
+        break;
       case OpKind::kSelect:
         ne.output_rate = in_rate * options.select_selectivity;
         break;

@@ -54,8 +54,13 @@ struct PlanLoadEstimate {
 };
 
 /// Estimates rates and loads for `plan` against the engine's registered
-/// sources. Fails as Engine::DeriveOutputSchema does: on a plan that
-/// does not validate or references unknown sources/fields.
+/// sources. Runs QueryPlan::Validate and QueryPlan::NodeSignatures, then
+/// one walk over the nodes that takes each source's schema from the
+/// engine, derives every other node's with OpSpec::OutputSchema, and
+/// prices it; it builds no operator. So it fails where InstallQuery
+/// would, with the same status: on a plan that does not validate
+/// (kInvalidArgument), an unknown source (kNotFound), or an
+/// OutputSchema error (kInvalidArgument).
 Result<PlanLoadEstimate> EstimatePlanLoad(const Engine& engine,
                                           const QueryPlan& plan,
                                           const LoadEstimateOptions& options);

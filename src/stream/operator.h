@@ -3,10 +3,12 @@
 // assumes, §II). Operators are push-based: the engine hands them input
 // tuples and they append outputs. Window operators additionally emit on
 // time advancement. An operator only processes tuples: its identity
-// (the plan node's subtree signature) and its per-tuple cost
+// (the plan node's subtree signature), its per-tuple cost
 // (OpSpec::cost_per_tuple, whose cost x rate is the operator load c_j
-// the admission auction prices) belong to the plan spec, and the engine
-// keeps both beside the operator.
+// the admission auction prices) and the schema of what it emits
+// (OpSpec::OutputSchema, which also checks the fields it reads) belong
+// to the plan spec. The engine keeps the first two beside the operator
+// and hands the operator the schema to build its tuples with.
 
 #ifndef STREAMBID_STREAM_OPERATOR_H_
 #define STREAMBID_STREAM_OPERATOR_H_
@@ -26,9 +28,6 @@ class OperatorBase {
 
   OperatorBase(const OperatorBase&) = delete;
   OperatorBase& operator=(const OperatorBase&) = delete;
-
-  /// Schema of emitted tuples.
-  virtual SchemaPtr output_schema() const = 0;
 
   /// Processes one tuple arriving on `port`, appending outputs.
   virtual void Process(int port, const Tuple& tuple,

@@ -44,8 +44,9 @@ double AggregateOperator::Accumulator::Final(AggFn fn) const {
 AggregateOperator::AggregateOperator(const SchemaPtr& input_schema,
                                      AggFn fn, const std::string& agg_field,
                                      const std::string& group_field,
-                                     WindowSpec window)
-    : fn_(fn),
+                                     WindowSpec window, SchemaPtr schema)
+    : schema_(std::move(schema)),
+      fn_(fn),
       agg_field_index_(fn == AggFn::kCount
                            ? -1
                            : input_schema->FieldIndex(agg_field)),
@@ -58,14 +59,6 @@ AggregateOperator::AggregateOperator(const SchemaPtr& input_schema,
   STREAMBID_CHECK_GT(window.size, 0.0);
   STREAMBID_CHECK_GT(window.slide, 0.0);
   STREAMBID_CHECK_LE(window.slide, window.size);
-
-  std::vector<Field> fields;
-  if (group_field_index_ >= 0) {
-    fields.push_back(input_schema->field(group_field_index_));
-  }
-  fields.push_back({"window_end", ValueType::kDouble});
-  fields.push_back({"value", ValueType::kDouble});
-  output_schema_ = MakeSchema(std::move(fields));
 }
 
 void AggregateOperator::Process(int port, const Tuple& tuple,
@@ -113,11 +106,11 @@ void AggregateOperator::EmitWindow(const OpenWindow& w,
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [key, group] : order_) {
     std::vector<Value> values;
-    values.reserve(static_cast<size_t>(output_schema_->num_fields()));
+    values.reserve(static_cast<size_t>(schema_->num_fields()));
     if (group_field_index_ >= 0) values.push_back(group->value);
     values.emplace_back(end);
     values.emplace_back(group->acc.Final(fn_));
-    out->emplace_back(output_schema_, std::move(values), end);
+    out->emplace_back(schema_, std::move(values), end);
   }
 }
 

@@ -30,15 +30,15 @@ struct WindowSpec {
   VirtualTime slide = 60.0;
 };
 
-/// aggregate(FN(field) group-by g over window).
-/// Output schema: [group (if grouped), window_end:double, value:double].
+/// aggregate(FN(field) group-by g over window). Emits tuples of
+/// `schema` (OpSpec::OutputSchema): [group (if grouped),
+/// window_end:double, value:double].
 class AggregateOperator : public OperatorBase {
  public:
   AggregateOperator(const SchemaPtr& input_schema, AggFn fn,
                     const std::string& agg_field,
-                    const std::string& group_field, WindowSpec window);
-
-  SchemaPtr output_schema() const override { return output_schema_; }
+                    const std::string& group_field, WindowSpec window,
+                    SchemaPtr schema);
 
   void Process(int port, const Tuple& tuple,
                std::vector<Tuple>* out) override;
@@ -87,7 +87,7 @@ class AggregateOperator : public OperatorBase {
 
   void EmitWindow(const OpenWindow& w, std::vector<Tuple>* out);
 
-  SchemaPtr output_schema_;
+  SchemaPtr schema_;
   AggFn fn_;
   int agg_field_index_;    // -1 for count, which reads no field.
   int group_field_index_;  // -1 when ungrouped.

@@ -6,11 +6,10 @@
 
 namespace streambid::stream {
 
-DistinctOperator::DistinctOperator(SchemaPtr input_schema,
+DistinctOperator::DistinctOperator(const SchemaPtr& input_schema,
                                    const std::string& key_field,
                                    VirtualTime window)
-    : schema_(std::move(input_schema)),
-      key_index_(schema_->FieldIndex(key_field)),
+    : key_index_(input_schema->FieldIndex(key_field)),
       window_(window) {
   STREAMBID_CHECK_GE(key_index_, 0);
   STREAMBID_CHECK_GT(window, 0.0);

@@ -17,10 +17,8 @@ namespace streambid::stream {
 /// distinct(field within window seconds).
 class DistinctOperator : public OperatorBase {
  public:
-  DistinctOperator(SchemaPtr input_schema, const std::string& key_field,
-                   VirtualTime window);
-
-  SchemaPtr output_schema() const override { return schema_; }
+  DistinctOperator(const SchemaPtr& input_schema,
+                   const std::string& key_field, VirtualTime window);
 
   void Process(int port, const Tuple& tuple,
                std::vector<Tuple>* out) override;
@@ -31,7 +29,6 @@ class DistinctOperator : public OperatorBase {
   size_t TrackedKeys() const { return last_seen_.size(); }
 
  private:
-  SchemaPtr schema_;
   int key_index_;
   VirtualTime window_;
   // Key value (under ToKey's classes) -> timestamp it last passed.

@@ -12,21 +12,13 @@ JoinOperator::JoinOperator(const SchemaPtr& left_schema,
                            const SchemaPtr& right_schema,
                            const std::string& left_key,
                            const std::string& right_key,
-                           VirtualTime window)
-    : window_(window) {
+                           VirtualTime window, SchemaPtr schema)
+    : schema_(std::move(schema)), window_(window) {
   STREAMBID_CHECK_GT(window, 0.0);
   sides_[0].key_index = left_schema->FieldIndex(left_key);
   sides_[1].key_index = right_schema->FieldIndex(right_key);
   STREAMBID_CHECK_GE(sides_[0].key_index, 0);
   STREAMBID_CHECK_GE(sides_[1].key_index, 0);
-
-  std::vector<Field> fields = left_schema->fields();
-  for (const Field& f : right_schema->fields()) {
-    Field out = f;
-    if (left_schema->HasField(out.name)) out.name = "r_" + out.name;
-    fields.push_back(std::move(out));
-  }
-  output_schema_ = MakeSchema(std::move(fields));
 }
 
 void JoinOperator::Emit(const Tuple& left, const Tuple& right,
@@ -34,7 +26,7 @@ void JoinOperator::Emit(const Tuple& left, const Tuple& right,
   std::vector<Value> values = left.values();
   values.insert(values.end(), right.values().begin(),
                 right.values().end());
-  out->emplace_back(output_schema_, std::move(values),
+  out->emplace_back(schema_, std::move(values),
                     std::max(left.timestamp(), right.timestamp()));
 }
 

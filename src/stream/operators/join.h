@@ -17,16 +17,13 @@
 
 namespace streambid::stream {
 
-/// join(left.key == right.key, window). Output schema: left fields
-/// followed by right fields (right-side names prefixed with "r_" when
-/// they collide with a left name).
+/// join(left.key == right.key, window). Emits tuples of `schema`
+/// (OpSpec::OutputSchema): the left values followed by the right ones.
 class JoinOperator : public OperatorBase {
  public:
   JoinOperator(const SchemaPtr& left_schema, const SchemaPtr& right_schema,
                const std::string& left_key, const std::string& right_key,
-               VirtualTime window);
-
-  SchemaPtr output_schema() const override { return output_schema_; }
+               VirtualTime window, SchemaPtr schema);
 
   void Process(int port, const Tuple& tuple,
                std::vector<Tuple>* out) override;
@@ -65,7 +62,7 @@ class JoinOperator : public OperatorBase {
 
   void Emit(const Tuple& left, const Tuple& right, std::vector<Tuple>* out);
 
-  SchemaPtr output_schema_;
+  SchemaPtr schema_;
   VirtualTime window_;
   Side sides_[2];  // 0 = left, 1 = right.
 };

@@ -22,15 +22,13 @@ const char* MapFnToken(MapFn fn) {
 
 MapOperator::MapOperator(const SchemaPtr& input_schema,
                          const std::string& field, MapFn fn, double operand,
-                         std::string output_field)
-    : field_index_(input_schema->FieldIndex(field)),
+                         SchemaPtr schema)
+    : schema_(std::move(schema)),
+      field_index_(input_schema->FieldIndex(field)),
       fn_(fn),
       operand_(operand) {
   STREAMBID_CHECK_GE(field_index_, 0);
   STREAMBID_CHECK(fn != MapFn::kDiv || operand != 0.0);
-  std::vector<Field> fields = input_schema->fields();
-  fields.push_back({std::move(output_field), ValueType::kDouble});
-  output_schema_ = MakeSchema(std::move(fields));
 }
 
 void MapOperator::Process(int port, const Tuple& tuple,
@@ -55,7 +53,7 @@ void MapOperator::Process(int port, const Tuple& tuple,
   }
   std::vector<Value> values = tuple.values();
   values.emplace_back(y);
-  out->emplace_back(output_schema_, std::move(values), tuple.timestamp());
+  out->emplace_back(schema_, std::move(values), tuple.timestamp());
 }
 
 }  // namespace streambid::stream

@@ -18,20 +18,18 @@ enum class MapFn { kAdd, kSub, kMul, kDiv };
 /// Stable token for signatures ("+", "-", "*", "/").
 const char* MapFnToken(MapFn fn);
 
-/// map(out = field FN constant): appends the result as a new double
-/// field named `output_field`.
+/// map(out = field FN constant): appends the result to the input values
+/// as the last field of `schema` (OpSpec::OutputSchema).
 class MapOperator : public OperatorBase {
  public:
   MapOperator(const SchemaPtr& input_schema, const std::string& field,
-              MapFn fn, double operand, std::string output_field);
-
-  SchemaPtr output_schema() const override { return output_schema_; }
+              MapFn fn, double operand, SchemaPtr schema);
 
   void Process(int port, const Tuple& tuple,
                std::vector<Tuple>* out) override;
 
  private:
-  SchemaPtr output_schema_;
+  SchemaPtr schema_;
   int field_index_;
   MapFn fn_;
   double operand_;

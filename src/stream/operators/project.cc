@@ -7,15 +7,14 @@
 namespace streambid::stream {
 
 ProjectOperator::ProjectOperator(const SchemaPtr& input_schema,
-                                 const std::vector<std::string>& fields) {
-  std::vector<Field> out_fields;
+                                 const std::vector<std::string>& fields,
+                                 SchemaPtr schema)
+    : schema_(std::move(schema)) {
   for (const std::string& f : fields) {
     const int idx = input_schema->FieldIndex(f);
     STREAMBID_CHECK_GE(idx, 0);
     indices_.push_back(idx);
-    out_fields.push_back(input_schema->field(idx));
   }
-  output_schema_ = MakeSchema(std::move(out_fields));
 }
 
 void ProjectOperator::Process(int port, const Tuple& tuple,
@@ -25,7 +24,7 @@ void ProjectOperator::Process(int port, const Tuple& tuple,
   std::vector<Value> values;
   values.reserve(indices_.size());
   for (int idx : indices_) values.push_back(tuple.value(idx));
-  out->emplace_back(output_schema_, std::move(values), tuple.timestamp());
+  out->emplace_back(schema_, std::move(values), tuple.timestamp());
 }
 
 }  // namespace streambid::stream

@@ -11,19 +11,18 @@
 
 namespace streambid::stream {
 
-/// project(f1,f2,...).
+/// project(f1,f2,...): emits the named fields, in order, as tuples of
+/// `schema` (OpSpec::OutputSchema).
 class ProjectOperator : public OperatorBase {
  public:
   ProjectOperator(const SchemaPtr& input_schema,
-                  const std::vector<std::string>& fields);
-
-  SchemaPtr output_schema() const override { return output_schema_; }
+                  const std::vector<std::string>& fields, SchemaPtr schema);
 
   void Process(int port, const Tuple& tuple,
                std::vector<Tuple>* out) override;
 
  private:
-  SchemaPtr output_schema_;
+  SchemaPtr schema_;
   std::vector<int> indices_;
 };
 

@@ -42,11 +42,10 @@ bool EvalCompare(const Value& lhs, CompareOp op, const Value& rhs) {
   return false;
 }
 
-SelectOperator::SelectOperator(SchemaPtr input_schema,
+SelectOperator::SelectOperator(const SchemaPtr& input_schema,
                                const std::string& field, CompareOp op,
                                Value operand)
-    : schema_(std::move(input_schema)),
-      field_index_(schema_->FieldIndex(field)),
+    : field_index_(input_schema->FieldIndex(field)),
       op_(op),
       operand_(std::move(operand)) {
   STREAMBID_CHECK_GE(field_index_, 0);

@@ -24,16 +24,13 @@ bool EvalCompare(const Value& lhs, CompareOp op, const Value& rhs);
 /// select(field OP constant).
 class SelectOperator : public OperatorBase {
  public:
-  SelectOperator(SchemaPtr input_schema, const std::string& field,
+  SelectOperator(const SchemaPtr& input_schema, const std::string& field,
                  CompareOp op, Value operand);
-
-  SchemaPtr output_schema() const override { return schema_; }
 
   void Process(int port, const Tuple& tuple,
                std::vector<Tuple>* out) override;
 
  private:
-  SchemaPtr schema_;
   int field_index_;
   CompareOp op_;
   Value operand_;

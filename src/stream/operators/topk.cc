@@ -32,13 +32,18 @@ void TopKOperator::Process(int port, const Tuple& tuple,
   (void)out;  // Emission happens on window close.
   OpenWindow& w = open_[WindowStart(tuple.timestamp())];
   const double rank = tuple.value(rank_index_).AsDouble();
-  // Insert in ascending-rank position (stable for ties: new tuple goes
-  // before equal-ranked older ones only if strictly greater).
+  // Insert in ascending-rank position, after every equal-ranked older
+  // tuple, so of two equal ranks the newer one is kept longer.
   auto pos = std::upper_bound(
       w.best.begin(), w.best.end(), rank,
       [this](double r, const Tuple& t) {
         return r < t.value(rank_index_).AsDouble();
       });
+  // Below the smallest of a full window: it would be dropped at once. A
+  // rank equal to the smallest lands after it and displaces it.
+  if (pos == w.best.begin() && static_cast<int>(w.best.size()) == k_) {
+    return;
+  }
   w.best.insert(pos, tuple);
   if (static_cast<int>(w.best.size()) > k_) {
     w.best.erase(w.best.begin());  // Drop the smallest.

@@ -22,8 +22,6 @@ class TopKOperator : public OperatorBase {
   TopKOperator(SchemaPtr input_schema, int k, const std::string& rank_field,
                VirtualTime window_size);
 
-  SchemaPtr output_schema() const override { return schema_; }
-
   void Process(int port, const Tuple& tuple,
                std::vector<Tuple>* out) override;
 

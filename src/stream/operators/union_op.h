@@ -14,12 +14,9 @@ namespace streambid::stream {
 /// union(left, right) — pass-through merge.
 class UnionOperator : public OperatorBase {
  public:
-  UnionOperator(const SchemaPtr& left_schema, const SchemaPtr& right_schema)
-      : schema_(left_schema) {
+  UnionOperator(const SchemaPtr& left_schema, const SchemaPtr& right_schema) {
     STREAMBID_CHECK(*left_schema == *right_schema);
   }
-
-  SchemaPtr output_schema() const override { return schema_; }
 
   void Process(int port, const Tuple& tuple,
                std::vector<Tuple>* out) override {
@@ -27,9 +24,6 @@ class UnionOperator : public OperatorBase {
     (void)port;
     out->push_back(tuple);
   }
-
- private:
-  SchemaPtr schema_;
 };
 
 }  // namespace streambid::stream

@@ -6,6 +6,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <string_view>
+#include <utility>
+
+#include "common/check.h"
 
 namespace streambid::stream {
 namespace {
@@ -40,6 +43,29 @@ std::string Escape(const std::string& name) {
     out += c;
   }
   return out;
+}
+
+// Whether the existing field `field` of `schema` holds strings, which the
+// numeric operators (an ordering compare against a number, sum, avg,
+// min, max, a topk rank, a map) cannot read.
+bool IsStringField(const Schema& schema, const std::string& field) {
+  return schema.field(schema.FieldIndex(field)).type == ValueType::kString;
+}
+
+// `fields` as the output schema of a `kind` node, unless two of them
+// share a name: Schema::FieldIndex finds only the first, so the second
+// value could never be read.
+Result<SchemaPtr> UniqueSchema(const char* kind, std::vector<Field> fields) {
+  for (size_t i = 1; i < fields.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (fields[i].name == fields[j].name) {
+        return Status::InvalidArgument(std::string(kind) +
+                                       ": output repeats field " +
+                                       fields[i].name);
+      }
+    }
+  }
+  return MakeSchema(std::move(fields));
 }
 
 // Value::ToKey of a select operand, with a double spelled exactly and a
@@ -177,6 +203,117 @@ std::string OpSpec::Signature() const {
       return "distinct(" + Escape(field) + ",w=" + Exact(window.size) + ")";
   }
   return "?";
+}
+
+Result<SchemaPtr> OpSpec::OutputSchema(
+    const std::vector<SchemaPtr>& inputs) const {
+  STREAMBID_CHECK_EQ(static_cast<int>(inputs.size()), expected_inputs());
+  switch (kind) {
+    case OpKind::kSource:
+      return Status::Internal("a source's schema is its stream's");
+    case OpKind::kSelect: {
+      if (!inputs[0]->HasField(field)) {
+        return Status::InvalidArgument("select: unknown field " + field);
+      }
+      // == and != across kinds are simply false and true; an ordering
+      // compare needs both sides of one kind.
+      const bool ordering =
+          compare_op != CompareOp::kEq && compare_op != CompareOp::kNe;
+      if (ordering &&
+          IsStringField(*inputs[0], field) == operand.is_numeric()) {
+        return Status::InvalidArgument("select: " + field + " " +
+                                       CompareOpToken(compare_op) +
+                                       " compares a string with a number");
+      }
+      return inputs[0];
+    }
+    case OpKind::kProject: {
+      std::vector<Field> out;
+      out.reserve(fields.size());
+      for (const std::string& f : fields) {
+        const int idx = inputs[0]->FieldIndex(f);
+        if (idx < 0) {
+          return Status::InvalidArgument("project: unknown field " + f);
+        }
+        out.push_back(inputs[0]->field(idx));
+      }
+      return UniqueSchema("project", std::move(out));
+    }
+    case OpKind::kMap: {
+      if (!inputs[0]->HasField(field)) {
+        return Status::InvalidArgument("map: unknown field " + field);
+      }
+      if (IsStringField(*inputs[0], field)) {
+        return Status::InvalidArgument("map: string field " + field +
+                                       " is not numeric");
+      }
+      std::vector<Field> out = inputs[0]->fields();
+      out.push_back({output_field, ValueType::kDouble});
+      return UniqueSchema("map", std::move(out));
+    }
+    case OpKind::kAggregate: {
+      if (agg_fn != AggFn::kCount || !field.empty()) {
+        if (!inputs[0]->HasField(field)) {
+          return Status::InvalidArgument("aggregate: unknown field " +
+                                         field);
+        }
+        // count reads no field, so it counts tuples of any field type.
+        if (agg_fn != AggFn::kCount && IsStringField(*inputs[0], field)) {
+          return Status::InvalidArgument(std::string("aggregate: ") +
+                                         AggFnName(agg_fn) +
+                                         " over string field " + field);
+        }
+      }
+      std::vector<Field> out;
+      if (!group_field.empty()) {
+        const int idx = inputs[0]->FieldIndex(group_field);
+        if (idx < 0) {
+          return Status::InvalidArgument("aggregate: unknown group field " +
+                                         group_field);
+        }
+        out.push_back(inputs[0]->field(idx));
+      }
+      out.push_back({"window_end", ValueType::kDouble});
+      out.push_back({"value", ValueType::kDouble});
+      return UniqueSchema("aggregate", std::move(out));
+    }
+    case OpKind::kJoin: {
+      if (!inputs[0]->HasField(left_key)) {
+        return Status::InvalidArgument("join: unknown left key " + left_key);
+      }
+      if (!inputs[1]->HasField(right_key)) {
+        return Status::InvalidArgument("join: unknown right key " +
+                                       right_key);
+      }
+      std::vector<Field> out = inputs[0]->fields();
+      for (const Field& f : inputs[1]->fields()) {
+        out.push_back(f);
+        if (inputs[0]->HasField(f.name)) out.back().name = "r_" + f.name;
+      }
+      return UniqueSchema("join", std::move(out));
+    }
+    case OpKind::kUnion:
+      if (!(*inputs[0] == *inputs[1])) {
+        return Status::InvalidArgument("union: input schemas differ");
+      }
+      return inputs[0];
+    case OpKind::kTopK:
+      if (!inputs[0]->HasField(field)) {
+        return Status::InvalidArgument("topk: unknown rank field " + field);
+      }
+      if (IsStringField(*inputs[0], field)) {
+        return Status::InvalidArgument("topk: string rank field " + field +
+                                       " is not numeric");
+      }
+      return inputs[0];
+    case OpKind::kDistinct:
+      if (!inputs[0]->HasField(field)) {
+        return Status::InvalidArgument("distinct: unknown key field " +
+                                       field);
+      }
+      return inputs[0];
+  }
+  return Status::Internal("unknown operator kind");
 }
 
 Status QueryPlan::Validate() const {

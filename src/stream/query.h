@@ -114,6 +114,24 @@ struct OpSpec {
   /// and string operands escape the signature's delimiters with a
   /// backslash.
   std::string Signature() const;
+
+  /// Schema of the tuples this spec's operator emits over inputs of
+  /// schemas `inputs` (expected_inputs() of them, checked): the engine
+  /// installs a node with it and the load estimate checks plans with it.
+  /// Select, union, topk and distinct emit their input schema; project
+  /// keeps the named fields in order; map appends `output_field` as a
+  /// double; an aggregate emits [group field (if grouped), window_end,
+  /// value], both doubles; a join emits the left fields, then the right
+  /// ones, each right name that a left field has prefixed with "r_".
+  /// Fails with kInvalidArgument on an unknown field, on a field of a
+  /// type the operator cannot read, on union inputs whose schemas
+  /// differ, and on an output that would repeat a field name (a later
+  /// read of that name would see only the first). A type error is an
+  /// ordering compare (<, <=, >, >=) between a string and a number, or
+  /// a string field under sum, avg, min, max, a topk rank or a map;
+  /// count reads no field, and == and != accept any kinds. A source's
+  /// schema is its stream's, which only the engine knows: kInternal.
+  Result<SchemaPtr> OutputSchema(const std::vector<SchemaPtr>& inputs) const;
 };
 
 /// Largest aggregate size/slide accepted by QueryPlan::Validate. A

@@ -118,9 +118,8 @@ class Histogram {
     /// lock — a sanctioned nesting, ascending by rank value; the
     /// cross-class edge itself is enforced by the lock-order lint and
     /// the runtime sentinel.
-    mutable Mutex mutex ACQUIRED_AFTER(kTelemetryRankBoundary)
-        ACQUIRED_BEFORE(kLeafRankBoundary) =
-            Mutex{LockRank::kHistogramSlot, "telemetry/histogram_slot"};
+    mutable Mutex mutex =
+        Mutex{LockRank::kHistogramSlot, "telemetry/histogram_slot"};
     LatencyHistogram histogram GUARDED_BY(mutex);
   };
   const std::string name_;
@@ -164,9 +163,8 @@ class MetricsRegistry {
   std::string TextExposition() const;
 
  private:
-  mutable Mutex mutex_ ACQUIRED_AFTER(kTelemetryRankBoundary)
-      ACQUIRED_BEFORE(kLeafRankBoundary) =
-          Mutex{LockRank::kMetricsRegistry, "telemetry/metrics_registry"};
+  mutable Mutex mutex_ =
+      Mutex{LockRank::kMetricsRegistry, "telemetry/metrics_registry"};
   std::map<std::string, std::unique_ptr<Counter>> counters_
       GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mutex_);

@@ -97,9 +97,8 @@ class PeriodTracer {
 
  private:
   Timer since_;
-  mutable Mutex mutex_ ACQUIRED_AFTER(kTelemetryRankBoundary)
-      ACQUIRED_BEFORE(kLeafRankBoundary) =
-          Mutex{LockRank::kPeriodTracer, "telemetry/tracer"};
+  mutable Mutex mutex_ =
+      Mutex{LockRank::kPeriodTracer, "telemetry/tracer"};
   std::vector<TraceSpan> spans_ GUARDED_BY(mutex_);
   int64_t next_seq_ GUARDED_BY(mutex_) = 0;
 };

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "stream/load_estimator.h"
 #include "stream/query_builder.h"
 
 namespace streambid::stream {
@@ -98,6 +99,26 @@ std::vector<std::string> Rows(const Engine& engine) {
                    std::to_string(info.measured_load));
   }
   return rows;
+}
+
+/// `plan`'s output schema as OpSpec::OutputSchema derives it, node by
+/// node, over `engine`'s source schemas.
+Result<SchemaPtr> DeriveSchema(const Engine& engine, const QueryPlan& plan) {
+  std::vector<SchemaPtr> schemas;
+  for (const QueryPlan::Node& node : plan.nodes) {
+    if (node.spec.kind == OpKind::kSource) {
+      schemas.push_back(engine.source(node.spec.source_name)->schema());
+      continue;
+    }
+    std::vector<SchemaPtr> inputs;
+    for (int in : node.inputs) {
+      inputs.push_back(schemas[static_cast<size_t>(in)]);
+    }
+    STREAMBID_ASSIGN_OR_RETURN(SchemaPtr schema,
+                               node.spec.OutputSchema(inputs));
+    schemas.push_back(std::move(schema));
+  }
+  return schemas[static_cast<size_t>(plan.output_node)];
 }
 
 /// (signature, sharing degree) rows, sorted.
@@ -275,6 +296,19 @@ TEST_F(EngineTest, FailedInstallLeavesTheEngineUnchanged) {
   const int shared_sel = b.Select(src, "price", CompareOp::kGt, Value(5.0));
   const int shared_map = b.Map(src, "price", MapFn::kMul, 2.0, "scaled");
   bad.emplace_back(b.Build(b.Union(shared_sel, shared_map)),
+                   StatusCode::kInvalidArgument);
+  // Fails at the map, whose output would hold two fields named price,
+  // above a new select.
+  const int cheap = b.Select(b.Source("quotes"), "price", CompareOp::kGt,
+                             Value(3.0));
+  bad.emplace_back(b.Build(b.Map(cheap, "price", MapFn::kMul, 2.0, "price")),
+                   StatusCode::kInvalidArgument);
+  // Fails at the join, which renames the right symbol to r_symbol, the
+  // name its new left map already writes.
+  const int right = b.Source("quotes");
+  const int tagged = b.Map(b.Source("quotes"), "price", MapFn::kMul, 1.0,
+                           "r_symbol");
+  bad.emplace_back(b.Build(b.Join(tagged, right, "symbol", "symbol", 5.0)),
                    StatusCode::kInvalidArgument);
   for (const auto& [plan, code] : bad) {
     EXPECT_EQ(engine_.InstallQuery(3, plan).code(), code);
@@ -543,17 +577,91 @@ TEST_F(EngineTest, CountOverStringFieldRuns) {
   EXPECT_EQ(symbols, engine_.sink(2)->recent[0].field("value").AsDouble());
 }
 
-TEST_F(EngineTest, DeriveOutputSchemaMatchesInstalled) {
+TEST_F(EngineTest, DerivedSchemaMatchesEmittedTuples) {
+  // One plan per operator kind over the quotes source (symbol, price),
+  // each window closing within the run.
+  std::vector<std::pair<std::string, QueryPlan>> kinds;
   QueryBuilder b;
-  const int src = b.Source("quotes");
-  const int agg = b.Aggregate(src, AggFn::kAvg, "price", "symbol",
-                              {10.0, 10.0});
-  const QueryPlan plan = b.Build(agg);
-  auto schema = engine_.DeriveOutputSchema(plan);
-  ASSERT_TRUE(schema.ok());
-  EXPECT_TRUE((*schema)->HasField("symbol"));
-  EXPECT_TRUE((*schema)->HasField("window_end"));
-  EXPECT_TRUE((*schema)->HasField("value"));
+  int src = b.Source("quotes");
+  kinds.emplace_back(
+      "select",
+      b.Build(b.Select(src, "price", CompareOp::kGt, Value(5.0))));
+  src = b.Source("quotes");
+  kinds.emplace_back("project", b.Build(b.Project(src, {"price", "symbol"})));
+  src = b.Source("quotes");
+  kinds.emplace_back(
+      "map", b.Build(b.Map(src, "price", MapFn::kMul, 2.0, "scaled")));
+  src = b.Source("quotes");
+  kinds.emplace_back("grouped aggregate",
+                     b.Build(b.Aggregate(src, AggFn::kAvg, "price",
+                                         "symbol", {2.0, 2.0})));
+  src = b.Source("quotes");
+  kinds.emplace_back(
+      "ungrouped aggregate",
+      b.Build(b.Aggregate(src, AggFn::kCount, "", "", {2.0, 1.0})));
+  src = b.Source("quotes");
+  kinds.emplace_back(  // Every right name is renamed r_<name>.
+      "join", b.Build(b.Join(src, src, "symbol", "symbol", 1.0)));
+  src = b.Source("quotes");
+  kinds.emplace_back("union", b.Build(b.Union(src, src)));
+  src = b.Source("quotes");
+  kinds.emplace_back("topk", b.Build(b.TopK(src, 3, "price", 2.0)));
+  src = b.Source("quotes");
+  kinds.emplace_back("distinct", b.Build(b.Distinct(src, "symbol", 2.0)));
+
+  std::vector<SchemaPtr> derived;
+  for (const auto& [kind, plan] : kinds) {
+    SCOPED_TRACE(kind);
+    const Result<SchemaPtr> schema = DeriveSchema(engine_, plan);
+    ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+    derived.push_back(*schema);
+    EXPECT_TRUE(EstimatePlanLoad(engine_, plan, {}).ok());
+    ASSERT_TRUE(
+        engine_.InstallQuery(static_cast<int>(derived.size()), plan).ok());
+  }
+  engine_.Run(5.0);
+  for (size_t i = 0; i < kinds.size(); ++i) {
+    SCOPED_TRACE(kinds[i].first);
+    const SinkStats* sink = engine_.sink(static_cast<int>(i + 1));
+    ASSERT_FALSE(sink->recent.empty());
+    for (const Tuple& t : sink->recent) {
+      EXPECT_EQ(*t.schema(), *derived[i]);
+    }
+  }
+  EXPECT_TRUE(derived[5]->HasField("r_symbol"));  // The join renamed.
+
+  // Outputs that would repeat a field name, whose second value no read
+  // could reach, are refused by the schema, the estimate and the install.
+  std::vector<std::pair<std::string, QueryPlan>> repeats;
+  src = b.Source("quotes");
+  const int cheap = b.Select(src, "price", CompareOp::kGt, Value(3.0));
+  repeats.emplace_back(
+      "map onto its input field",
+      b.Build(b.Map(cheap, "price", MapFn::kMul, 2.0, "price")));
+  src = b.Source("quotes");
+  repeats.emplace_back("project naming a field twice",
+                       b.Build(b.Project(src, {"price", "price"})));
+  src = b.Source("quotes");
+  const int tagged = b.Map(src, "price", MapFn::kMul, 1.0, "r_symbol");
+  repeats.emplace_back(
+      "join renaming onto a left field",
+      b.Build(b.Join(tagged, src, "symbol", "symbol", 5.0)));
+  src = b.Source("quotes");
+  const int valued = b.Map(src, "price", MapFn::kMul, 1.0, "value");
+  repeats.emplace_back("aggregate grouped by a field named value",
+                       b.Build(b.Aggregate(valued, AggFn::kCount, "",
+                                           "value", {2.0, 2.0})));
+  const int nodes = engine_.num_runtime_nodes();
+  for (const auto& [what, plan] : repeats) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(DeriveSchema(engine_, plan).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(EstimatePlanLoad(engine_, plan, {}).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine_.InstallQuery(100, plan).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine_.num_runtime_nodes(), nodes);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "stream/operators/project.h"
 #include "stream/operators/select.h"
 #include "stream/operators/union_op.h"
+#include "stream/query.h"
 
 namespace streambid::stream {
 namespace {
@@ -24,6 +25,34 @@ Tuple Quote(const SchemaPtr& s, const std::string& sym, double price,
   return Tuple(s, {Value(sym), Value(price), Value(volume)}, ts);
 }
 
+/// The schema a map writing `name` over `input` emits.
+SchemaPtr MapSchema(const SchemaPtr& input, const std::string& name) {
+  std::vector<Field> fields = input->fields();
+  fields.push_back({name, ValueType::kDouble});
+  return MakeSchema(std::move(fields));
+}
+
+/// The schema an aggregate emits: its group field, if any, then
+/// window_end and value.
+SchemaPtr AggSchema(std::vector<Field> group = {}) {
+  group.push_back({"window_end", ValueType::kDouble});
+  group.push_back({"value", ValueType::kDouble});
+  return MakeSchema(std::move(group));
+}
+
+/// The schema the plan derives for join(left.left_key == right.right_key).
+SchemaPtr JoinSchema(const SchemaPtr& left, const SchemaPtr& right,
+                     const std::string& left_key,
+                     const std::string& right_key) {
+  OpSpec spec;
+  spec.kind = OpKind::kJoin;
+  spec.left_key = left_key;
+  spec.right_key = right_key;
+  Result<SchemaPtr> schema = spec.OutputSchema({left, right});
+  EXPECT_TRUE(schema.ok()) << schema.status().ToString();
+  return *schema;
+}
+
 TEST(SelectOperatorTest, FiltersOnPredicate) {
   SchemaPtr s = QuoteSchema();
   SelectOperator sel(s, "price", CompareOp::kGt, Value(100.0));
@@ -33,7 +62,7 @@ TEST(SelectOperatorTest, FiltersOnPredicate) {
   sel.Process(0, Quote(s, "IBM", 100.0, 10, 2.0), &out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_DOUBLE_EQ(out[0].field("price").AsDouble(), 101.0);
-  EXPECT_EQ(sel.output_schema()->num_fields(), 3);
+  EXPECT_EQ(out[0].schema(), s);  // A select emits its input tuples.
 }
 
 TEST(SelectOperatorTest, AllCompareOps) {
@@ -66,11 +95,13 @@ TEST(SelectOperatorTest, StringPredicate) {
 
 TEST(ProjectOperatorTest, KeepsRequestedFields) {
   SchemaPtr s = QuoteSchema();
-  ProjectOperator proj(s, {"price", "symbol"});
+  const SchemaPtr kept = MakeSchema(
+      {{"price", ValueType::kDouble}, {"symbol", ValueType::kString}});
+  ProjectOperator proj(s, {"price", "symbol"}, kept);
   std::vector<Tuple> out;
   proj.Process(0, Quote(s, "IBM", 5.0, 9, 1.5), &out);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].schema()->num_fields(), 2);
+  EXPECT_EQ(out[0].schema(), kept);
   EXPECT_DOUBLE_EQ(out[0].value(0).AsDouble(), 5.0);
   EXPECT_EQ(out[0].value(1).AsString(), "IBM");
   EXPECT_DOUBLE_EQ(out[0].timestamp(), 1.5);
@@ -78,18 +109,20 @@ TEST(ProjectOperatorTest, KeepsRequestedFields) {
 
 TEST(MapOperatorTest, AppendsComputedField) {
   SchemaPtr s = QuoteSchema();
-  MapOperator map(s, "price", MapFn::kMul, 2.0, "double_price");
+  const SchemaPtr mapped = MapSchema(s, "double_price");
+  MapOperator map(s, "price", MapFn::kMul, 2.0, mapped);
   std::vector<Tuple> out;
   map.Process(0, Quote(s, "IBM", 7.0, 1, 0.0), &out);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].schema()->num_fields(), 4);
+  EXPECT_EQ(out[0].schema(), mapped);
   EXPECT_DOUBLE_EQ(out[0].field("double_price").AsDouble(), 14.0);
 }
 
 TEST(MapOperatorTest, AllFns) {
   SchemaPtr s = QuoteSchema();
-  auto compute = [&s](MapFn fn, double operand) {
-    MapOperator map(s, "price", fn, operand, "y");
+  const SchemaPtr mapped = MapSchema(s, "y");
+  auto compute = [&s, &mapped](MapFn fn, double operand) {
+    MapOperator map(s, "price", fn, operand, mapped);
     std::vector<Tuple> out;
     map.Process(0, Quote(s, "X", 8.0, 1, 0.0), &out);
     return out[0].field("y").AsDouble();
@@ -102,7 +135,8 @@ TEST(MapOperatorTest, AllFns) {
 
 TEST(AggregateOperatorTest, TumblingCountEmitsOnAdvance) {
   SchemaPtr s = QuoteSchema();
-  AggregateOperator agg(s, AggFn::kCount, "price", "", {10.0, 10.0});
+  AggregateOperator agg(s, AggFn::kCount, "price", "", {10.0, 10.0},
+                        AggSchema());
   std::vector<Tuple> out;
   agg.Process(0, Quote(s, "A", 1.0, 1, 1.0), &out);
   agg.Process(0, Quote(s, "A", 2.0, 1, 5.0), &out);
@@ -117,7 +151,8 @@ TEST(AggregateOperatorTest, TumblingCountEmitsOnAdvance) {
 
 TEST(AggregateOperatorTest, GroupedAverages) {
   SchemaPtr s = QuoteSchema();
-  AggregateOperator agg(s, AggFn::kAvg, "price", "symbol", {10.0, 10.0});
+  AggregateOperator agg(s, AggFn::kAvg, "price", "symbol", {10.0, 10.0},
+                        AggSchema({s->field(0)}));
   std::vector<Tuple> out;
   agg.Process(0, Quote(s, "IBM", 10.0, 1, 1.0), &out);
   agg.Process(0, Quote(s, "IBM", 20.0, 1, 2.0), &out);
@@ -135,7 +170,8 @@ TEST(AggregateOperatorTest, SlidingWindowsOverlap) {
   SchemaPtr s = QuoteSchema();
   // Size 10, slide 5: a tuple at t=7 belongs to windows [0,10) and
   // [5,15).
-  AggregateOperator agg(s, AggFn::kSum, "price", "", {10.0, 5.0});
+  AggregateOperator agg(s, AggFn::kSum, "price", "", {10.0, 5.0},
+                        AggSchema());
   std::vector<Tuple> out;
   agg.Process(0, Quote(s, "A", 3.0, 1, 7.0), &out);
   agg.AdvanceTime(10.0, &out);
@@ -149,8 +185,10 @@ TEST(AggregateOperatorTest, SlidingWindowsOverlap) {
 
 TEST(AggregateOperatorTest, MinMax) {
   SchemaPtr s = QuoteSchema();
-  AggregateOperator mn(s, AggFn::kMin, "price", "", {10.0, 10.0});
-  AggregateOperator mx(s, AggFn::kMax, "price", "", {10.0, 10.0});
+  AggregateOperator mn(s, AggFn::kMin, "price", "", {10.0, 10.0},
+                       AggSchema());
+  AggregateOperator mx(s, AggFn::kMax, "price", "", {10.0, 10.0},
+                       AggSchema());
   std::vector<Tuple> out;
   for (double p : {5.0, 1.0, 9.0}) {
     mn.Process(0, Quote(s, "A", p, 1, 2.0), &out);
@@ -173,7 +211,8 @@ TEST(AggregateOperatorTest, DoubleGroupKeysKeepLastValue) {
                             {"x", ValueType::kDouble}});
   ASSERT_EQ(Value(1.0000001).ToKey(), "d:1");
   ASSERT_EQ(Value(1.0000002).ToKey(), "d:1");
-  AggregateOperator agg(s, AggFn::kSum, "x", "level", {10.0, 10.0});
+  AggregateOperator agg(s, AggFn::kSum, "x", "level", {10.0, 10.0},
+                        AggSchema({s->field(0)}));
   std::vector<Tuple> out;
   agg.Process(0, Tuple(s, {Value(1.0000001), Value(2.0)}, 1.0), &out);
   agg.Process(0, Tuple(s, {Value(1.0000002), Value(3.0)}, 2.0), &out);
@@ -189,7 +228,7 @@ TEST(AggregateOperatorTest, GroupsEmitInKeyOrder) {
   SchemaPtr sensors = MakeSchema({{"sensor", ValueType::kInt64},
                                   {"x", ValueType::kDouble}});
   AggregateOperator by_int(sensors, AggFn::kSum, "x", "sensor",
-                           {10.0, 10.0});
+                           {10.0, 10.0}, AggSchema({sensors->field(0)}));
   std::vector<Tuple> out;
   by_int.Process(0, Tuple(sensors, {Value(int64_t{2}), Value(1.0)}, 1.0),
                  &out);
@@ -202,7 +241,7 @@ TEST(AggregateOperatorTest, GroupsEmitInKeyOrder) {
 
   SchemaPtr s = QuoteSchema();
   AggregateOperator by_string(s, AggFn::kSum, "price", "symbol",
-                              {10.0, 10.0});
+                              {10.0, 10.0}, AggSchema({s->field(0)}));
   out.clear();
   by_string.Process(0, Quote(s, "b", 1.0, 1, 1.0), &out);
   by_string.Process(0, Quote(s, "a", 2.0, 1, 2.0), &out);
@@ -216,7 +255,8 @@ TEST(JoinOperatorTest, MatchesWithinWindow) {
   SchemaPtr quotes = QuoteSchema();
   SchemaPtr news = MakeSchema({{"company", ValueType::kString},
                                {"sentiment", ValueType::kDouble}});
-  JoinOperator join(quotes, news, "symbol", "company", 10.0);
+  JoinOperator join(quotes, news, "symbol", "company", 10.0,
+                    JoinSchema(quotes, news, "symbol", "company"));
   std::vector<Tuple> out;
   join.Process(0, Quote(quotes, "IBM", 100.0, 1, 1.0), &out);
   EXPECT_TRUE(out.empty());
@@ -231,7 +271,8 @@ TEST(JoinOperatorTest, NoMatchOutsideWindow) {
   SchemaPtr quotes = QuoteSchema();
   SchemaPtr news = MakeSchema({{"company", ValueType::kString},
                                {"sentiment", ValueType::kDouble}});
-  JoinOperator join(quotes, news, "symbol", "company", 10.0);
+  JoinOperator join(quotes, news, "symbol", "company", 10.0,
+                    JoinSchema(quotes, news, "symbol", "company"));
   std::vector<Tuple> out;
   join.Process(0, Quote(quotes, "IBM", 100.0, 1, 1.0), &out);
   join.Process(1, Tuple(news, {Value("IBM"), Value(0.5)}, 12.0), &out);
@@ -242,7 +283,8 @@ TEST(JoinOperatorTest, DifferentKeysDoNotMatch) {
   SchemaPtr quotes = QuoteSchema();
   SchemaPtr news = MakeSchema({{"company", ValueType::kString},
                                {"sentiment", ValueType::kDouble}});
-  JoinOperator join(quotes, news, "symbol", "company", 10.0);
+  JoinOperator join(quotes, news, "symbol", "company", 10.0,
+                    JoinSchema(quotes, news, "symbol", "company"));
   std::vector<Tuple> out;
   join.Process(0, Quote(quotes, "IBM", 100.0, 1, 1.0), &out);
   join.Process(1, Tuple(news, {Value("AAPL"), Value(0.1)}, 2.0), &out);
@@ -253,7 +295,8 @@ TEST(JoinOperatorTest, EvictionDropsStaleTuples) {
   SchemaPtr quotes = QuoteSchema();
   SchemaPtr news = MakeSchema({{"company", ValueType::kString},
                                {"sentiment", ValueType::kDouble}});
-  JoinOperator join(quotes, news, "symbol", "company", 10.0);
+  JoinOperator join(quotes, news, "symbol", "company", 10.0,
+                    JoinSchema(quotes, news, "symbol", "company"));
   std::vector<Tuple> out;
   join.Process(0, Quote(quotes, "IBM", 1.0, 1, 0.0), &out);
   EXPECT_EQ(join.BufferedTuples(), 1u);
@@ -266,11 +309,19 @@ TEST(JoinOperatorTest, CollidingFieldNamesPrefixed) {
                             {"x", ValueType::kDouble}});
   SchemaPtr b = MakeSchema({{"k", ValueType::kString},
                             {"y", ValueType::kDouble}});
-  JoinOperator join(a, b, "k", "k", 5.0);
-  EXPECT_TRUE(join.output_schema()->HasField("k"));
-  EXPECT_TRUE(join.output_schema()->HasField("r_k"));
-  EXPECT_TRUE(join.output_schema()->HasField("x"));
-  EXPECT_TRUE(join.output_schema()->HasField("y"));
+  JoinOperator join(a, b, "k", "k", 5.0, JoinSchema(a, b, "k", "k"));
+  std::vector<Tuple> out;
+  join.Process(0, Tuple(a, {Value("K"), Value(1.0)}, 1.0), &out);
+  join.Process(1, Tuple(b, {Value("K"), Value(2.0)}, 2.0), &out);
+  ASSERT_EQ(out.size(), 1u);
+  const Schema& schema = *out[0].schema();
+  ASSERT_EQ(schema.num_fields(), 4);
+  EXPECT_EQ(schema.field(0).name, "k");
+  EXPECT_EQ(schema.field(1).name, "x");
+  EXPECT_EQ(schema.field(2).name, "r_k");
+  EXPECT_EQ(schema.field(3).name, "y");
+  EXPECT_DOUBLE_EQ(out[0].field("x").AsDouble(), 1.0);
+  EXPECT_DOUBLE_EQ(out[0].field("y").AsDouble(), 2.0);
 }
 
 TEST(UnionOperatorTest, MergesBothPorts) {

@@ -37,6 +37,20 @@ TEST(TopKOperatorTest, EmitsLargestKOnWindowClose) {
   EXPECT_DOUBLE_EQ(out[0].timestamp(), 10.0);
 }
 
+TEST(TopKOperatorTest, EqualRankDisplacesTheOlderSmallest) {
+  SchemaPtr s = QuoteSchema();
+  TopKOperator topk(s, /*k=*/2, "price", /*window=*/10.0);
+  std::vector<Tuple> out;
+  topk.Process(0, Quote(s, "A", 5.0, 1.0), &out);
+  topk.Process(0, Quote(s, "B", 9.0, 2.0), &out);
+  topk.Process(0, Quote(s, "C", 5.0, 3.0), &out);  // Displaces A.
+  topk.Process(0, Quote(s, "D", 4.0, 4.0), &out);  // Below C: dropped.
+  topk.AdvanceTime(10.0, &out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].field("symbol").AsString(), "B");
+  EXPECT_EQ(out[1].field("symbol").AsString(), "C");
+}
+
 TEST(TopKOperatorTest, FewerThanKTuplesAllEmitted) {
   SchemaPtr s = QuoteSchema();
   TopKOperator topk(s, 5, "price", 10.0);
