@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/check.h"
 
@@ -88,9 +89,14 @@ void AggregateOperator::Process(int port, const Tuple& tuple,
         spare_groups_.pop_back();
       }
     }
-    Group& group = w.groups[key];
+    auto [entry, inserted] = w.groups.try_emplace(key);
+    Group& group = entry->second;
     group.acc.Add(x);
-    if (grouped) group.value = key;
+    // An int64 or string key class holds one value; a double's class
+    // holds every double that prints alike, and the group shows the last.
+    if (grouped && (inserted || key.type() == ValueType::kDouble)) {
+      group.value = key;
+    }
     if (k == 0.0) break;
   }
 }
@@ -105,12 +111,12 @@ void AggregateOperator::EmitWindow(const OpenWindow& w,
   std::sort(order_.begin(), order_.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [key, group] : order_) {
-    std::vector<Value> values;
-    values.reserve(static_cast<size_t>(schema_->num_fields()));
-    if (group_field_index_ >= 0) values.push_back(group->value);
-    values.emplace_back(end);
-    values.emplace_back(group->acc.Final(fn_));
-    out->emplace_back(schema_, std::move(values), end);
+    Value values[3];  // [group (if grouped), window_end, value].
+    size_t n = 0;
+    if (group_field_index_ >= 0) values[n++] = group->value;
+    values[n++] = Value(end);
+    values[n++] = Value(group->acc.Final(fn_));
+    out->emplace_back(schema_, std::span<Value>(values, n), end);
   }
 }
 

@@ -3,6 +3,8 @@
 #include "stream/operators/join.h"
 
 #include <algorithm>
+#include <span>
+#include <utility>
 
 #include "common/check.h"
 
@@ -23,11 +25,13 @@ JoinOperator::JoinOperator(const SchemaPtr& left_schema,
 
 void JoinOperator::Emit(const Tuple& left, const Tuple& right,
                         std::vector<Tuple>* out) {
-  std::vector<Value> values = left.values();
-  values.insert(values.end(), right.values().begin(),
-                right.values().end());
-  out->emplace_back(schema_, std::move(values),
+  const std::span<const Value> l = left.values();
+  const std::span<const Value> r = right.values();
+  scratch_.assign(l.begin(), l.end());
+  scratch_.insert(scratch_.end(), r.begin(), r.end());
+  out->emplace_back(schema_, std::span<Value>(scratch_),
                     std::max(left.timestamp(), right.timestamp()));
+  scratch_.clear();
 }
 
 void JoinOperator::Process(int port, const Tuple& tuple,

@@ -65,6 +65,7 @@ class JoinOperator : public OperatorBase {
   SchemaPtr schema_;
   VirtualTime window_;
   Side sides_[2];  // 0 = left, 1 = right.
+  std::vector<Value> scratch_;  // An output's values, moved into it.
 };
 
 }  // namespace streambid::stream

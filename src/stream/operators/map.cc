@@ -2,6 +2,9 @@
 
 #include "stream/operators/map.h"
 
+#include <span>
+#include <utility>
+
 #include "common/check.h"
 
 namespace streambid::stream {
@@ -51,9 +54,11 @@ void MapOperator::Process(int port, const Tuple& tuple,
       y = x / operand_;
       break;
   }
-  std::vector<Value> values = tuple.values();
-  values.emplace_back(y);
-  out->emplace_back(schema_, std::move(values), tuple.timestamp());
+  const std::span<const Value> in = tuple.values();
+  scratch_.assign(in.begin(), in.end());
+  scratch_.emplace_back(y);
+  out->emplace_back(schema_, std::span<Value>(scratch_), tuple.timestamp());
+  scratch_.clear();
 }
 
 }  // namespace streambid::stream

@@ -33,6 +33,7 @@ class MapOperator : public OperatorBase {
   int field_index_;
   MapFn fn_;
   double operand_;
+  std::vector<Value> scratch_;  // The output's values, moved into it.
 };
 
 }  // namespace streambid::stream

@@ -2,6 +2,9 @@
 
 #include "stream/operators/project.h"
 
+#include <span>
+#include <utility>
+
 #include "common/check.h"
 
 namespace streambid::stream {
@@ -21,10 +24,9 @@ void ProjectOperator::Process(int port, const Tuple& tuple,
                               std::vector<Tuple>* out) {
   STREAMBID_DCHECK(port == 0);
   (void)port;
-  std::vector<Value> values;
-  values.reserve(indices_.size());
-  for (int idx : indices_) values.push_back(tuple.value(idx));
-  out->emplace_back(schema_, std::move(values), tuple.timestamp());
+  for (int idx : indices_) scratch_.push_back(tuple.value(idx));
+  out->emplace_back(schema_, std::span<Value>(scratch_), tuple.timestamp());
+  scratch_.clear();
 }
 
 }  // namespace streambid::stream

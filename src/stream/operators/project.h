@@ -24,6 +24,7 @@ class ProjectOperator : public OperatorBase {
  private:
   SchemaPtr schema_;
   std::vector<int> indices_;
+  std::vector<Value> scratch_;  // The output's values, moved into it.
 };
 
 }  // namespace streambid::stream

@@ -3,6 +3,7 @@
 #include "stream/stream_source.h"
 
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -14,7 +15,9 @@ void StreamSource::EmitUntil(VirtualTime until, std::vector<Tuple>* out) {
   if (rate_ <= 0.0) return;
   const VirtualTime step = 1.0 / rate_;
   while (next_ts_ <= until) {
-    out->emplace_back(schema_, Generate(next_ts_, rng_), next_ts_);
+    Generate(next_ts_, rng_, &values_);
+    out->emplace_back(schema_, std::span<Value>(values_), next_ts_);
+    values_.clear();
     next_ts_ += step;
     ++emitted_;
   }
@@ -37,13 +40,16 @@ class StockQuoteSource final : public StreamSource {
   }
 
  protected:
-  std::vector<Value> Generate(VirtualTime ts, Rng& rng) override {
+  void Generate(VirtualTime ts, Rng& rng,
+                std::vector<Value>* values) override {
     (void)ts;
     const size_t k = rng.NextBounded(symbols_.size());
     // Geometric random walk with ~1% step volatility.
     prices_[k] *= std::exp((rng.NextDouble() - 0.5) * 0.02);
     const int64_t volume = 100 + static_cast<int64_t>(rng.NextBounded(10000));
-    return {Value(symbols_[k]), Value(prices_[k]), Value(volume)};
+    values->emplace_back(symbols_[k]);
+    values->emplace_back(prices_[k]);
+    values->emplace_back(volume);
   }
 
  private:
@@ -67,16 +73,18 @@ class NewsSource final : public StreamSource {
   }
 
  protected:
-  std::vector<Value> Generate(VirtualTime ts, Rng& rng) override {
+  void Generate(VirtualTime ts, Rng& rng,
+                std::vector<Value>* values) override {
     (void)ts;
     static const char* kCategories[] = {"earnings", "merger", "product",
                                         "regulation", "markets"};
     const size_t k = rng.NextBounded(companies_.size());
     const int64_t listed = rng.NextBool(listed_fraction_) ? 1 : 0;
     const double sentiment = rng.NextRange(-1.0, 1.0);
-    return {Value(companies_[k]),
-            Value(std::string(kCategories[rng.NextBounded(5)])),
-            Value(listed), Value(sentiment)};
+    values->emplace_back(companies_[k]);
+    values->emplace_back(kCategories[rng.NextBounded(5)]);
+    values->emplace_back(listed);
+    values->emplace_back(sentiment);
   }
 
  private:
@@ -97,12 +105,14 @@ class SensorSource final : public StreamSource {
   }
 
  protected:
-  std::vector<Value> Generate(VirtualTime ts, Rng& rng) override {
+  void Generate(VirtualTime ts, Rng& rng,
+                std::vector<Value>* values) override {
     (void)ts;
     const size_t k = rng.NextBounded(readings_.size());
     // Mean-reverting walk around 20.0.
     readings_[k] += 0.1 * (20.0 - readings_[k]) + rng.NextRange(-0.5, 0.5);
-    return {Value(static_cast<int64_t>(k)), Value(readings_[k])};
+    values->emplace_back(static_cast<int64_t>(k));
+    values->emplace_back(readings_[k]);
   }
 
  private:

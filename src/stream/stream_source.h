@@ -19,7 +19,7 @@ namespace streambid::stream {
 
 /// Abstract timed tuple generator. Tuples are produced at a fixed mean
 /// rate with deterministic inter-arrival times (rate tuples/second in
-/// virtual time); subclasses fill in the payload.
+/// virtual time); subclasses generate each tuple's field values.
 class StreamSource {
  public:
   StreamSource(std::string name, SchemaPtr schema, double rate,
@@ -42,8 +42,12 @@ class StreamSource {
   int64_t tuples_emitted() const { return emitted_; }
 
  protected:
-  /// Produces the payload of the tuple stamped `ts`.
-  virtual std::vector<Value> Generate(VirtualTime ts, Rng& rng) = 0;
+  /// Appends the schema's field values of the tuple stamped `ts` to
+  /// `values`, in field order. `values` is a buffer the source keeps and
+  /// reuses: it is empty on every call, and EmitUntil moves what Generate
+  /// appended into the tuple's block.
+  virtual void Generate(VirtualTime ts, Rng& rng,
+                        std::vector<Value>* values) = 0;
 
  private:
   std::string name_;
@@ -52,6 +56,7 @@ class StreamSource {
   Rng rng_;
   VirtualTime next_ts_ = 0.0;
   int64_t emitted_ = 0;
+  std::vector<Value> values_;  // Generate's buffer.
 };
 
 using StreamSourcePtr = std::unique_ptr<StreamSource>;

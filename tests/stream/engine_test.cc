@@ -29,12 +29,13 @@ class CounterSource final : public StreamSource {
                      rate, /*seed=*/1) {}
 
  protected:
-  std::vector<Value> Generate(VirtualTime ts, Rng& rng) override {
+  void Generate(VirtualTime ts, Rng& rng,
+                std::vector<Value>* values) override {
     (void)ts;
     (void)rng;
     ++n_;
-    return {Value(n_ % 2 == 0 ? "A" : "B"),
-            Value(static_cast<double>(n_ % 10 + 1))};
+    values->emplace_back(n_ % 2 == 0 ? "A" : "B");
+    values->emplace_back(static_cast<double>(n_ % 10 + 1));
   }
 
  private:
@@ -52,11 +53,13 @@ class ParitySource final : public StreamSource {
                      rate, /*seed=*/1) {}
 
  protected:
-  std::vector<Value> Generate(VirtualTime ts, Rng& rng) override {
+  void Generate(VirtualTime ts, Rng& rng,
+                std::vector<Value>* values) override {
     (void)ts;
     (void)rng;
     const int64_t seq = next_++;
-    return {Value(seq), Value(seq % 2)};
+    values->emplace_back(seq);
+    values->emplace_back(seq % 2);
   }
 
  private:

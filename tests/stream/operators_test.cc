@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "stream/operators/aggregate.h"
 #include "stream/operators/join.h"
 #include "stream/operators/map.h"
@@ -91,6 +95,66 @@ TEST(SelectOperatorTest, StringPredicate) {
   sel.Process(0, Quote(s, "IBM", 1.0, 1, 0.0), &out);
   sel.Process(0, Quote(s, "AAPL", 1.0, 1, 0.0), &out);
   EXPECT_EQ(out.size(), 1u);
+}
+
+TEST(SelectOperatorTest, AgreesWithEvalCompare) {
+  // The numeric path compares doubles by EvalCompare's own formulas, so
+  // a NaN on either side and int64 promotion behave exactly as there;
+  // a string field keeps EvalCompare (== across kinds is false).
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const CompareOp ops[] = {CompareOp::kLt, CompareOp::kLe, CompareOp::kGt,
+                           CompareOp::kGe, CompareOp::kEq, CompareOp::kNe};
+  struct Case {
+    ValueType field_type;
+    std::vector<Value> fields;
+    std::vector<Value> operands;
+  };
+  const Case cases[] = {
+      {ValueType::kInt64,
+       {Value(int64_t{-3}), Value(int64_t{0}), Value(int64_t{2}),
+        Value(int64_t{7})},
+       {Value(int64_t{2}), Value(2.0), Value(2.5), Value(nan)}},
+      {ValueType::kDouble,
+       {Value(-inf), Value(-3.0), Value(0.0), Value(2.0), Value(2.5),
+        Value(inf), Value(nan)},
+       {Value(int64_t{2}), Value(2.0), Value(2.5), Value(nan)}},
+      {ValueType::kString,
+       {Value("2"), Value("IBM")},
+       {Value(int64_t{2}), Value(2.0)}},
+  };
+  for (const Case& c : cases) {
+    const SchemaPtr s = MakeSchema({{"x", c.field_type}});
+    for (CompareOp op : ops) {
+      // A string field compared with a number: only == and != are
+      // defined (ordering mixed kinds CHECK-fails).
+      if (c.field_type == ValueType::kString && op != CompareOp::kEq &&
+          op != CompareOp::kNe) {
+        continue;
+      }
+      for (const Value& operand : c.operands) {
+        SelectOperator sel(s, "x", op, operand);
+        for (const Value& field : c.fields) {
+          SCOPED_TRACE(field.ToString() + " " + CompareOpToken(op) + " " +
+                       operand.ToString());
+          std::vector<Tuple> out;
+          sel.Process(0, Tuple(s, {field}, 0.0), &out);
+          EXPECT_EQ(!out.empty(), EvalCompare(field, op, operand));
+        }
+      }
+    }
+  }
+  // The NaN behaviour pinned: with a NaN operand, >, >= and != pass
+  // every tuple and the other three pass none.
+  const SchemaPtr s = MakeSchema({{"x", ValueType::kDouble}});
+  for (CompareOp op : ops) {
+    SelectOperator sel(s, "x", op, Value(nan));
+    std::vector<Tuple> out;
+    sel.Process(0, Tuple(s, {Value(1.0)}, 0.0), &out);
+    const bool passes = op == CompareOp::kGt || op == CompareOp::kGe ||
+                        op == CompareOp::kNe;
+    EXPECT_EQ(!out.empty(), passes) << CompareOpToken(op);
+  }
 }
 
 TEST(ProjectOperatorTest, KeepsRequestedFields) {

@@ -18,9 +18,10 @@ class FirehoseSource final : public StreamSource {
                      MakeSchema({{"x", ValueType::kDouble}}), rate, 3) {}
 
  protected:
-  std::vector<Value> Generate(VirtualTime ts, Rng& rng) override {
+  void Generate(VirtualTime ts, Rng& rng,
+                std::vector<Value>* values) override {
     (void)ts;
-    return {Value(rng.NextDouble())};
+    values->emplace_back(rng.NextDouble());
   }
 };
 

@@ -22,10 +22,11 @@ class SequenceSource final : public StreamSource {
                      MakeSchema({{"seq", ValueType::kInt64}}), 1.0, 1) {}
 
  protected:
-  std::vector<Value> Generate(VirtualTime ts, Rng& rng) override {
+  void Generate(VirtualTime ts, Rng& rng,
+                std::vector<Value>* values) override {
     (void)ts;
     (void)rng;
-    return {Value(next_++)};
+    values->emplace_back(next_++);
   }
 
  private:

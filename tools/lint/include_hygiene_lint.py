@@ -86,7 +86,8 @@ STD_TOKEN_MAP: Dict[str, str] = {
     "limits": r"\bstd::numeric_limits\b",
     "map": r"\bstd::(?:multi)?map\b",
     "memory": r"\bstd::(?:unique_ptr|shared_ptr|weak_ptr|make_unique|"
-              r"make_shared|addressof|align|allocator)\b",
+              r"make_shared|addressof|align|allocator|uninitialized_\w+|"
+              r"destroy(?:_at|_n)?)\b",
     "mutex": r"\bstd::(?:mutex|recursive_mutex|lock_guard|unique_lock|"
              r"scoped_lock|adopt_lock|defer_lock|once_flag|call_once)\b",
     "numeric": r"\bstd::(?:accumulate|iota|reduce|gcd|lcm|midpoint)\b",
