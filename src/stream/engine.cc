@@ -11,10 +11,20 @@
 #include "stream/operators/project.h"
 #include "stream/operators/topk.h"
 #include "stream/operators/union_op.h"
+#include "stream/select_index.h"
 
 namespace streambid::stream {
 
 namespace {
+
+// True when the select `spec` over an input of schema `input` is a member
+// of its input's SelectIndex: a numeric field compared with a numeric
+// operand. Such a select builds no operator.
+bool IsIndexedSelect(const OpSpec& spec, const Schema& input) {
+  return spec.kind == OpKind::kSelect && spec.operand.is_numeric() &&
+         input.field(input.FieldIndex(spec.field)).type !=
+             ValueType::kString;
+}
 
 // The operator that runs `spec` over inputs of schemas `inputs`, building
 // its tuples with `schema`, which is spec.OutputSchema(inputs).
@@ -58,12 +68,13 @@ OperatorPtr MakeOperator(const OpSpec& spec,
 
 }  // namespace
 
-/// One runtime graph node: either a source tap (op == nullptr) or an
-/// operator instance. Nodes are owned by the signature map; topo_ holds
-/// raw pointers in creation (= topological) order.
+/// One runtime graph node: a source tap (source_index >= 0), an indexed
+/// select (index != nullptr) or an operator instance. Nodes are owned by
+/// the signature map; topo_ holds raw pointers in creation
+/// (= topological) order.
 struct Engine::Node {
   std::string signature;
-  OperatorPtr op;          // Null for source taps.
+  OperatorPtr op;          // Null for source taps and indexed selects.
   int source_index = -1;   // Valid for source taps.
   SchemaPtr schema;        // Output schema.
   double cost = 0.0;       // OpSpec::cost_per_tuple(); 0 for source taps.
@@ -71,11 +82,19 @@ struct Engine::Node {
   // (input, port) for every input port, ordered by the input's seq, then
   // by port: a pass reads each input's batch once, feeding every tuple
   // to each port that input drives before the next tuple.
-  std::vector<std::pair<const Node*, int>> reads;
+  std::vector<std::pair<Node*, int>> reads;
   std::vector<SinkStats*> sinks;  // Of the queries whose output this is.
-  // This pass's outputs (a tap's arrivals), oldest first. Consumers read
-  // it in place; ProcessPass clears it after the whole pass with its
-  // capacity kept, so a steady-state tick does not reallocate it.
+  // The indexed selects that read this node, grouped by the field they
+  // read (keyed by its index in `schema`). A pass routes this node's
+  // final batch through them before any consumer reads it.
+  std::map<int, SelectIndex> indexes;
+  // An indexed select's membership: its input's index, which appends to
+  // `out` the input tuples the select passes.
+  SelectIndex* index = nullptr;
+  // This pass's outputs (a tap's arrivals, the tuples an indexed select
+  // passes), oldest first. Consumers read it in place; ProcessPass
+  // clears it after the whole pass with its capacity kept, so a
+  // steady-state tick does not reallocate it.
   std::vector<Tuple> out;
   int subscribers = 0;        // Installed queries whose plans include it.
   double run_cost = 0.0;      // Cost consumed during the current Run().
@@ -119,7 +138,7 @@ Status Engine::Instantiate(const QueryPlan& plan, int idx,
   if (node != nullptr) return Status::Ok();
   const QueryPlan::Node& pn = plan.nodes[static_cast<size_t>(idx)];
   // (input, port) by port; a created node sorts them into its read order.
-  std::vector<std::pair<const Node*, int>> reads;
+  std::vector<std::pair<Node*, int>> reads;
   for (int in : pn.inputs) {
     STREAMBID_RETURN_IF_ERROR(Instantiate(plan, in, sigs, made, query));
     reads.emplace_back((*made)[static_cast<size_t>(in)],
@@ -151,13 +170,22 @@ Status Engine::Instantiate(const QueryPlan& plan, int idx,
       }
       STREAMBID_ASSIGN_OR_RETURN(fresh->schema,
                                  pn.spec.OutputSchema(input_schemas));
-      fresh->op = MakeOperator(pn.spec, input_schemas, fresh->schema);
+      if (IsIndexedSelect(pn.spec, *input_schemas[0])) {
+        // Join (or open) the index its input keeps for the field it reads.
+        Node* input = reads[0].first;
+        const int field = input->schema->FieldIndex(pn.spec.field);
+        fresh->index = &input->indexes.try_emplace(field, field).first->second;
+        fresh->index->Add(pn.spec.compare_op, pn.spec.operand.AsDouble(),
+                          &fresh->out);
+      } else {
+        fresh->op = MakeOperator(pn.spec, input_schemas, fresh->schema);
+      }
     }
     fresh->cost = pn.spec.cost_per_tuple();
     fresh->seq = next_seq_++;
     std::sort(reads.begin(), reads.end(),
-              [](const std::pair<const Node*, int>& a,
-                 const std::pair<const Node*, int>& b) {
+              [](const std::pair<Node*, int>& a,
+                 const std::pair<Node*, int>& b) {
                 return a.first->seq != b.first->seq
                            ? a.first->seq < b.first->seq
                            : a.second < b.second;
@@ -218,11 +246,21 @@ Status Engine::UninstallQuery(int query_id) {
 void Engine::Release(const Query& query) {
   // Every node follows its inputs in query.nodes, so walking it backwards
   // destroys an orphan's consumers before the orphan itself. A consumer
-  // holds its inputs and a producer holds no edge list, so destroying a
-  // node unlinks nothing else.
+  // holds its inputs, and a producer keeps no edge list but the indexes
+  // of the selects that read it, so destroying a node unlinks only an
+  // indexed select from its input's index (dropping the index with its
+  // last member). An orphan's index members are its consumers, so by its
+  // turn they have left.
   for (auto n = query.nodes.rbegin(); n != query.nodes.rend(); ++n) {
     Node* node = *n;
     if (--node->subscribers > 0) continue;
+    STREAMBID_CHECK(node->indexes.empty());
+    if (node->index != nullptr) {
+      node->index->Remove(&node->out);
+      if (node->index->empty()) {
+        node->reads[0].first->indexes.erase(node->index->field());
+      }
+    }
     topo_.erase(std::find(topo_.begin(), topo_.end(), node));
     nodes_.erase(nodes_.find(node->signature));
   }
@@ -274,14 +312,26 @@ void Engine::FeedSinks(const Node& node) {
 double Engine::ProcessPass(VirtualTime now) {
   // Edges always point from earlier to later topo_ entries, so one
   // ordered pass runs everything, including window emissions. A node
-  // appends only to its own batch while it reads earlier nodes' batches,
-  // and every batch is cleared only after the pass, so each batch stays
-  // valid for every consumer that reads it.
+  // appends to its own batch while it reads earlier nodes' batches, and
+  // its select indexes append to its members' batches, which are read
+  // only at or after the members' turn. Every batch is cleared only
+  // after the pass, so each batch stays valid for every consumer that
+  // reads it.
   double pass_cost = 0.0;
   for (Node* node : topo_) {
-    if (node->op == nullptr) {
+    if (node->source_index >= 0) {
       // Source tap: its batch is this tick's arrivals.
       node->processed += static_cast<int64_t>(node->out.size());
+    } else if (node->index != nullptr) {
+      // Indexed select: its input's index already routed the tuples it
+      // passes into its batch. It charges its cost per input tuple, as an
+      // operator does, with the same additions in the same order.
+      const size_t inputs = node->reads[0].first->out.size();
+      for (size_t i = 0; i < inputs; ++i) {
+        node->run_cost += node->cost;
+        pass_cost += node->cost;
+      }
+      node->processed += static_cast<int64_t>(inputs);
     } else {
       const auto& reads = node->reads;
       for (size_t r = 0; r < reads.size();) {
@@ -301,6 +351,8 @@ double Engine::ProcessPass(VirtualTime now) {
       }
       node->op->AdvanceTime(now, &node->out);
     }
+    // The batch is final: hand it to the indexed selects that read it.
+    for (auto& [field, index] : node->indexes) index.Route(node->out);
     FeedSinks(*node);
   }
   for (Node* node : topo_) node->out.clear();
@@ -367,7 +419,7 @@ std::vector<OperatorLoadInfo> Engine::OperatorLoads() const {
   for (const Node* node : topo_) {
     OperatorLoadInfo info;
     info.signature = node->signature;
-    info.is_source = node->op == nullptr;
+    info.is_source = node->source_index >= 0;
     info.cost_per_tuple = node->cost;
     info.tuples_processed = node->processed;
     info.measured_load = last_run_duration_ > 0.0

@@ -15,6 +15,15 @@
 // reads its inputs oldest node first and, for an input that drives two
 // of its ports (a self-join), feeds each tuple to port 0, then port 1.
 //
+// A select that compares a numeric field with a numeric constant builds
+// no operator: it is a member of its input node's SelectIndex for that
+// field (stream/select_index.h). A node routes its final batch (a tap's
+// at its turn, an operator's after AdvanceTime) through its select
+// indexes before any consumer reads it, appending each tuple to the batch
+// of every member it passes. A member charges its per-tuple cost once
+// per input tuple at its own turn, as an operator does, so measured
+// loads are those of one select call per tuple.
+//
 // A subscription-period boundary (the paper's transition phase) is
 // UninstallQuery/InstallQuery between two Run calls. Every Run tick ends
 // with a full pass that runs every node and then clears every batch, so

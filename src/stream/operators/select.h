@@ -21,11 +21,10 @@ const char* CompareOpToken(CompareOp op);
 /// Evaluates `lhs OP rhs`.
 bool EvalCompare(const Value& lhs, CompareOp op, const Value& rhs);
 
-/// select(field OP constant). Over a numeric field with a numeric
-/// operand, the operand is converted to a double once and each tuple's
-/// field compares as a double, by EvalCompare's formulas (so a NaN
-/// operand behaves as it does there); a string field or operand goes
-/// through EvalCompare.
+/// select(field OP constant), through EvalCompare. The engine runs it
+/// only for a string field or a string operand: a select over a numeric
+/// field with a numeric operand is a member of its input's SelectIndex
+/// (stream/select_index.h) and builds no operator.
 class SelectOperator : public OperatorBase {
  public:
   SelectOperator(const SchemaPtr& input_schema, const std::string& field,
@@ -38,8 +37,6 @@ class SelectOperator : public OperatorBase {
   int field_index_;
   CompareOp op_;
   Value operand_;
-  bool numeric_;         // Numeric field and numeric operand.
-  double number_ = 0.0;  // operand_.AsDouble() when numeric_.
 };
 
 }  // namespace streambid::stream

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -60,6 +61,38 @@ class ParitySource final : public StreamSource {
     const int64_t seq = next_++;
     values->emplace_back(seq);
     values->emplace_back(seq % 2);
+  }
+
+ private:
+  int64_t next_ = 0;
+};
+
+/// Numbers its tuples and cycles an int64 field `i` and a double field
+/// `d` through the values a numeric compare treats specially: a signed
+/// zero, the int64 and double spellings of one threshold, the infinities
+/// and NaN.
+class SpecialValuesSource final : public StreamSource {
+ public:
+  explicit SpecialValuesSource(std::string name)
+      : StreamSource(std::move(name),
+                     MakeSchema({{"seq", ValueType::kInt64},
+                                 {"i", ValueType::kInt64},
+                                 {"d", ValueType::kDouble}}),
+                     /*rate=*/4.0, /*seed=*/1) {}
+
+ protected:
+  void Generate(VirtualTime ts, Rng& rng,
+                std::vector<Value>* values) override {
+    (void)ts;
+    (void)rng;
+    const double inf = std::numeric_limits<double>::infinity();
+    const int64_t ints[] = {-3, 0, 2};
+    const double doubles[] = {-3.0, 0.0, -0.0, 2.0, 2.5, inf, -inf,
+                              std::numeric_limits<double>::quiet_NaN()};
+    const int64_t seq = next_++;
+    values->emplace_back(seq);
+    values->emplace_back(ints[seq % 3]);
+    values->emplace_back(doubles[seq % 8]);
   }
 
  private:
@@ -557,6 +590,130 @@ TEST_F(EngineTest, SelfJoinFeedsBothPortsPerTuple) {
                                              "B2/B4", "B4/B4", "A5/A3",
                                              "A3/A5", "A5/A5"}));
   EXPECT_EQ(engine_.sink(1)->tuples, 8);
+}
+
+TEST_F(EngineTest, IndexedSelectsMatchEvalCompare) {
+  // Numeric selects run as members of their input's select index. Every
+  // sink must hold what EvalCompare passes over a second instance of the
+  // source, while queries come and go between runs.
+  Engine engine(EngineOptions{1000.0, 1.0, /*sink_history=*/256});
+  ASSERT_TRUE(engine
+                  .RegisterSource(
+                      std::make_unique<SpecialValuesSource>("special"))
+                  .ok());
+  SpecialValuesSource reference("special");
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const CompareOp ops[] = {CompareOp::kLt, CompareOp::kLe, CompareOp::kGt,
+                           CompareOp::kGe, CompareOp::kEq, CompareOp::kNe};
+  const Value operands[] = {Value(int64_t{2}), Value(2.0), Value(2.5),
+                            Value(-0.0), Value(inf),
+                            Value(std::numeric_limits<double>::quiet_NaN())};
+  struct Pred {
+    std::string field;
+    CompareOp op;
+    Value operand;
+    bool Passes(const Tuple& t) const {
+      return EvalCompare(t.field(field), op, operand);
+    }
+  };
+  enum class Shape { kSelect, kSelectOverSelect, kUnion };
+  struct Case {
+    Shape shape;
+    Pred a;
+    Pred b;  // The outer select, or the union's second input.
+    QueryPlan plan;
+  };
+  std::vector<Case> cases;
+  auto add = [&cases](Shape shape, Pred a, Pred b) {
+    QueryBuilder qb;
+    const int src = qb.Source("special");
+    const int first = qb.Select(src, a.field, a.op, a.operand);
+    int out = first;
+    if (shape == Shape::kSelectOverSelect) {
+      out = qb.Select(first, b.field, b.op, b.operand);
+    } else if (shape == Shape::kUnion) {
+      out = qb.Union(first, qb.Select(src, b.field, b.op, b.operand));
+    }
+    cases.push_back(Case{shape, std::move(a), std::move(b), qb.Build(out)});
+  };
+  // Every op and operand over both fields, each a query's output select.
+  for (const char* field : {"i", "d"}) {
+    for (CompareOp op : ops) {
+      for (const Value& operand : operands) {
+        add(Shape::kSelect, Pred{field, op, operand}, Pred{});
+      }
+    }
+  }
+  // Selects over selects, and unions of two members of one index.
+  for (size_t k = 0; k < 12; ++k) {
+    const std::string inner = k % 2 == 0 ? "i" : "d";
+    add(Shape::kSelectOverSelect,
+        Pred{inner, ops[k % 6], operands[(k + 1) % 6]},
+        Pred{k % 3 == 0 ? inner : "d", ops[(k + 3) % 6],
+             operands[(k * 5) % 6]});
+    add(Shape::kUnion, Pred{inner, ops[(k + 2) % 6], operands[k % 6]},
+        Pred{inner, ops[(k + 5) % 6], operands[(k + 4) % 6]});
+  }
+
+  // The seq numbers each installed query's sink should hold.
+  std::map<int, std::vector<int64_t>> expected;
+  Rng rng(20261);
+  std::vector<Tuple> arrivals;
+  for (int round = 0; round < 6; ++round) {
+    // Uninstall about half of the installed queries, install about half
+    // of the others.
+    for (size_t q = 0; q < cases.size(); ++q) {
+      const int id = static_cast<int>(q);
+      if (!rng.NextBool(0.5)) continue;
+      if (expected.count(id) > 0) {
+        ASSERT_TRUE(engine.UninstallQuery(id).ok());
+        expected.erase(id);
+      } else {
+        ASSERT_TRUE(engine.InstallQuery(id, cases[q].plan).ok());
+        expected[id];
+      }
+    }
+    engine.Run(2.0);
+    arrivals.clear();
+    reference.EmitUntil(engine.now(), &arrivals);
+    for (auto& [id, seqs] : expected) {
+      const Case& c = cases[static_cast<size_t>(id)];
+      for (const Tuple& t : arrivals) {
+        const int64_t seq = t.field("seq").AsInt64();
+        const bool a = c.a.Passes(t);
+        if (c.shape == Shape::kSelect && a) seqs.push_back(seq);
+        if (c.shape == Shape::kSelectOverSelect && a && c.b.Passes(t)) {
+          seqs.push_back(seq);
+        }
+        if (c.shape == Shape::kUnion) {
+          if (a) seqs.push_back(seq);
+          if (c.b.Passes(t)) seqs.push_back(seq);
+        }
+      }
+    }
+    for (const auto& [id, seqs] : expected) {
+      SCOPED_TRACE("round " + std::to_string(round) + ", query " +
+                   std::to_string(id));
+      const SinkStats* sink = engine.sink(id);
+      ASSERT_NE(sink, nullptr);
+      std::vector<int64_t> got;
+      for (const Tuple& t : sink->recent) {
+        got.push_back(t.field("seq").AsInt64());
+      }
+      std::vector<int64_t> want = seqs;
+      ASSERT_LE(want.size(), 256u);
+      EXPECT_EQ(sink->tuples, static_cast<int64_t>(want.size()));
+      if (cases[static_cast<size_t>(id)].shape == Shape::kUnion) {
+        // A union reads its older input first each tick, so its order
+        // depends on which input was created first: compare multisets.
+        std::sort(got.begin(), got.end());
+        std::sort(want.begin(), want.end());
+      }
+      EXPECT_EQ(got, want);
+    }
+  }
+  EXPECT_GT(expected.size(), 0u);
 }
 
 TEST_F(EngineTest, CountOverStringFieldRuns) {
