@@ -69,6 +69,10 @@ enum class LockRank : int {
   // -- Leaf (innermost: never held while acquiring anything) --------
   /// telemetry::Histogram::Slot::mutex — sharded histogram slots.
   kHistogramSlot = 500,
+  /// stream::Value's string pool (stream/value.cc) — held only to find
+  /// or insert one interned string; plans and sources intern under any
+  /// lock a caller holds.
+  kValuePool = 510,
   /// Default rank of a Mutex constructed without one (tests, scratch
   /// code). A leaf may be acquired while holding anything, but nothing
   /// may be acquired while holding it — the safe default. Every Mutex
@@ -92,6 +96,7 @@ inline constexpr RankTableEntry kRankTable[] = {
     {LockRank::kMetricsRegistry, "kMetricsRegistry"},
     {LockRank::kPeriodTracer, "kPeriodTracer"},
     {LockRank::kHistogramSlot, "kHistogramSlot"},
+    {LockRank::kValuePool, "kValuePool"},
     {LockRank::kLeaf, "kLeaf"},
 };
 inline constexpr size_t kRankTableSize =

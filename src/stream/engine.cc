@@ -3,6 +3,7 @@
 #include "stream/engine.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -339,14 +340,28 @@ double Engine::ProcessPass(VirtualTime now) {
         const Node* input = reads[r].first;
         size_t end = r + 1;
         while (end < reads.size() && reads[end].first == input) ++end;
-        for (const Tuple& tuple : input->out) {
-          for (size_t p = r; p < end; ++p) {
-            node->op->Process(reads[p].second, tuple, &node->out);
-            node->run_cost += node->cost;
-            pass_cost += node->cost;
-            ++node->processed;
+        const std::span<const Tuple> batch(input->out);
+        if (end == r + 1) {
+          if (!batch.empty()) {
+            node->op->Process(reads[r].second, batch, &node->out);
+          }
+        } else {
+          // An input that drives two ports: each tuple reaches port 0,
+          // then port 1, before the next tuple.
+          for (const Tuple& tuple : batch) {
+            for (size_t p = r; p < end; ++p) {
+              node->op->Process(reads[p].second, tuple, &node->out);
+            }
           }
         }
+        // One charge per tuple per port, added one at a time, so run_cost
+        // and pass_cost see the additions a per-tuple call would make.
+        const size_t calls = batch.size() * (end - r);
+        for (size_t i = 0; i < calls; ++i) {
+          node->run_cost += node->cost;
+          pass_cost += node->cost;
+        }
+        node->processed += static_cast<int64_t>(calls);
         r = end;
       }
       node->op->AdvanceTime(now, &node->out);

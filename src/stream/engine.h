@@ -12,8 +12,11 @@
 // the nodes in topological order, each node appends that tick's outputs
 // to its own batch, and each consumer reads its producers' batches in
 // place, by reference, so fan-out copies no tuple handle. A consumer
-// reads its inputs oldest node first and, for an input that drives two
-// of its ports (a self-join), feeds each tuple to port 0, then port 1.
+// reads its inputs oldest node first, and its operator gets each input's
+// whole batch in one Process call. An input that drives two of its ports
+// (a self-join, or a union of a node with itself) is fed one tuple at a
+// time instead: each tuple to port 0, then port 1, before the next. The
+// node still charges its per-tuple cost once per tuple per port.
 //
 // A select that compares a numeric field with a numeric constant builds
 // no operator: it is a member of its input node's SelectIndex for that

@@ -62,23 +62,55 @@ AggregateOperator::AggregateOperator(const SchemaPtr& input_schema,
   STREAMBID_CHECK_LE(window.slide, window.size);
 }
 
-void AggregateOperator::Process(int port, const Tuple& tuple,
+void AggregateOperator::Process(int port, std::span<const Tuple> batch,
                                 std::vector<Tuple>* out) {
   STREAMBID_DCHECK(port == 0);
   (void)port;
   (void)out;  // Emission happens on AdvanceTime.
-  const double x =
-      agg_field_index_ >= 0 ? tuple.value(agg_field_index_).AsDouble()
-                            : 1.0;
-  const bool grouped = group_field_index_ >= 0;
   const Value ungrouped;
-  const Value& key = grouped ? tuple.value(group_field_index_) : ungrouped;
+  for (const Tuple& tuple : batch) {
+    const double x =
+        agg_field_index_ >= 0 ? tuple.value(agg_field_index_).AsDouble()
+                              : 1.0;
+    const Value& key = group_field_index_ >= 0
+                           ? tuple.value(group_field_index_)
+                           : ungrouped;
+    const VirtualTime ts = tuple.timestamp();
+    const double k = std::floor(ts / window_.slide);
+    if (k == run_k_ && ts >= run_ts_ &&
+        ts < run_first_->first + window_.size) {
+      for (auto it = run_first_;; ++it) {
+        Add(&it->second, key, x);
+        if (it == run_last_) break;
+      }
+    } else {
+      Walk(ts, k, key, x);
+    }
+  }
+}
+
+void AggregateOperator::Add(OpenWindow* w, const Value& key, double x) {
+  auto [entry, inserted] = w->groups.try_emplace(key);
+  Group& group = entry->second;
+  group.acc.Add(x);
+  // An int64 or string key class holds one value; a double's class
+  // holds every double that prints alike, and the group shows the last.
+  if (group_field_index_ >= 0 &&
+      (inserted || key.type() == ValueType::kDouble)) {
+    group.value = key;
+  }
+}
+
+void AggregateOperator::Walk(VirtualTime ts, double k, const Value& key,
+                             double x) {
   // Windows are aligned at multiples of slide. A tuple at ts belongs to
-  // every window [s, s+size) with s <= ts < s+size and s = k*slide.
-  const VirtualTime ts = tuple.timestamp();
-  for (double k = std::floor(ts / window_.slide);; k -= 1.0) {
-    const VirtualTime s = k * window_.slide;
-    if (s < 0.0 && k < 0.0) break;
+  // every window [s, s+size) with s <= ts < s+size and s = k*slide,
+  // walked from the newest down.
+  size_t joined = 0;
+  bool distinct = true;  // False when two k round to one start.
+  for (double j = k;; j -= 1.0) {
+    const VirtualTime s = j * window_.slide;
+    if (s < 0.0 && j < 0.0) break;
     if (s + window_.size <= ts) break;
     auto [it, opened] = open_.try_emplace(s);
     OpenWindow& w = it->second;
@@ -89,16 +121,19 @@ void AggregateOperator::Process(int port, const Tuple& tuple,
         spare_groups_.pop_back();
       }
     }
-    auto [entry, inserted] = w.groups.try_emplace(key);
-    Group& group = entry->second;
-    group.acc.Add(x);
-    // An int64 or string key class holds one value; a double's class
-    // holds every double that prints alike, and the group shows the last.
-    if (grouped && (inserted || key.type() == ValueType::kDouble)) {
-      group.value = key;
+    Add(&w, key, x);
+    if (joined++ == 0) {
+      run_last_ = it;
+    } else if (it == run_first_) {
+      distinct = false;
     }
-    if (k == 0.0) break;
+    run_first_ = it;
+    if (j == 0.0) break;
   }
+  // A run adds once per window, so a walk that joined one window twice
+  // leaves none.
+  run_k_ = joined > 0 && distinct ? k : kNoRun;
+  run_ts_ = ts;
 }
 
 void AggregateOperator::EmitWindow(const OpenWindow& w,
@@ -116,7 +151,7 @@ void AggregateOperator::EmitWindow(const OpenWindow& w,
     if (group_field_index_ >= 0) values[n++] = group->value;
     values[n++] = Value(end);
     values[n++] = Value(group->acc.Final(fn_));
-    out->emplace_back(schema_, std::span<Value>(values, n), end);
+    out->emplace_back(schema_, std::span<const Value>(values, n), end);
   }
 }
 
@@ -128,6 +163,7 @@ void AggregateOperator::AdvanceTime(VirtualTime now,
     it->second.groups.clear();
     spare_groups_.push_back(std::move(it->second.groups));
     it = open_.erase(it);
+    run_k_ = kNoRun;
   }
 }
 

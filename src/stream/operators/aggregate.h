@@ -3,11 +3,18 @@
 // group-by, with count/sum/avg/min/max. Emission is driven by
 // AdvanceTime: a window [start, start+size) closes once virtual time
 // passes its end, emitting one tuple per (window, group).
+//
+// A tuple's windows are resolved once per run of timestamps: the tuple
+// that walks the windows (one map lookup per window) leaves them as the
+// run, and each later tuple of the run, told by its floor(ts / slide)
+// and timestamp, adds to those windows directly.
 
 #ifndef STREAMBID_STREAM_OPERATORS_AGGREGATE_H_
 #define STREAMBID_STREAM_OPERATORS_AGGREGATE_H_
 
+#include <limits>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -40,7 +47,8 @@ class AggregateOperator : public OperatorBase {
                     const std::string& group_field, WindowSpec window,
                     SchemaPtr schema);
 
-  void Process(int port, const Tuple& tuple,
+  using OperatorBase::Process;
+  void Process(int port, std::span<const Tuple> batch,
                std::vector<Tuple>* out) override;
 
   void AdvanceTime(VirtualTime now, std::vector<Tuple>* out) override;
@@ -84,6 +92,15 @@ class AggregateOperator : public OperatorBase {
     VirtualTime start = 0.0;
     GroupMap groups;
   };
+  using WindowMap = std::map<VirtualTime, OpenWindow>;  // By start.
+
+  // Adds `x` to the group of `key` in `w`.
+  void Add(OpenWindow* w, const Value& key, double x);
+
+  // Adds `x` under `key` to every window a tuple at `ts` belongs to,
+  // opening the missing ones, and makes them the run; `k` is
+  // floor(ts / slide).
+  void Walk(VirtualTime ts, double k, const Value& key, double x);
 
   void EmitWindow(const OpenWindow& w, std::vector<Tuple>* out);
 
@@ -92,7 +109,20 @@ class AggregateOperator : public OperatorBase {
   int agg_field_index_;    // -1 for count, which reads no field.
   int group_field_index_;  // -1 when ungrouped.
   WindowSpec window_;
-  std::map<VirtualTime, OpenWindow> open_;  // keyed by window start.
+  WindowMap open_;
+  // The run: the windows the last walked tuple joined, open_'s entries
+  // [run_first_, run_last_] (their starts are consecutive multiples of
+  // the slide), with that tuple's k = floor(ts / slide) and timestamp.
+  // A later tuple joins exactly these windows, as its own walk would
+  // find, when its k is run_k_, its timestamp is at least run_ts_, and it
+  // is below run_first_'s end. run_k_ is NaN when there is no run (no k
+  // equals it): before the first tuple, and once AdvanceTime closes a
+  // window.
+  static constexpr double kNoRun = std::numeric_limits<double>::quiet_NaN();
+  double run_k_ = kNoRun;
+  VirtualTime run_ts_ = 0.0;
+  WindowMap::iterator run_first_;
+  WindowMap::iterator run_last_;
   // Closed windows' emptied group maps, which keep their buckets for the
   // next windows to open.
   std::vector<GroupMap> spare_groups_;

@@ -15,18 +15,20 @@ DistinctOperator::DistinctOperator(const SchemaPtr& input_schema,
   STREAMBID_CHECK_GT(window, 0.0);
 }
 
-void DistinctOperator::Process(int port, const Tuple& tuple,
+void DistinctOperator::Process(int port, std::span<const Tuple> batch,
                                std::vector<Tuple>* out) {
   STREAMBID_DCHECK(port == 0);
   (void)port;
-  const Value& key = tuple.value(key_index_);
-  auto it = last_seen_.find(key);
-  if (it != last_seen_.end() &&
-      tuple.timestamp() - it->second < window_) {
-    return;  // Duplicate within the window: suppressed.
+  for (const Tuple& tuple : batch) {
+    const Value& key = tuple.value(key_index_);
+    auto it = last_seen_.find(key);
+    if (it != last_seen_.end() &&
+        tuple.timestamp() - it->second < window_) {
+      continue;  // Duplicate within the window: suppressed.
+    }
+    last_seen_[key] = tuple.timestamp();
+    out->push_back(tuple);
   }
-  last_seen_[key] = tuple.timestamp();
-  out->push_back(tuple);
 }
 
 void DistinctOperator::AdvanceTime(VirtualTime now,

@@ -6,6 +6,7 @@
 #ifndef STREAMBID_STREAM_OPERATORS_DISTINCT_H_
 #define STREAMBID_STREAM_OPERATORS_DISTINCT_H_
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -20,7 +21,8 @@ class DistinctOperator : public OperatorBase {
   DistinctOperator(const SchemaPtr& input_schema,
                    const std::string& key_field, VirtualTime window);
 
-  void Process(int port, const Tuple& tuple,
+  using OperatorBase::Process;
+  void Process(int port, std::span<const Tuple> batch,
                std::vector<Tuple>* out) override;
 
   void AdvanceTime(VirtualTime now, std::vector<Tuple>* out) override;

@@ -29,32 +29,33 @@ void JoinOperator::Emit(const Tuple& left, const Tuple& right,
   const std::span<const Value> r = right.values();
   scratch_.assign(l.begin(), l.end());
   scratch_.insert(scratch_.end(), r.begin(), r.end());
-  out->emplace_back(schema_, std::span<Value>(scratch_),
+  out->emplace_back(schema_, scratch_,
                     std::max(left.timestamp(), right.timestamp()));
   scratch_.clear();
 }
 
-void JoinOperator::Process(int port, const Tuple& tuple,
+void JoinOperator::Process(int port, std::span<const Tuple> batch,
                            std::vector<Tuple>* out) {
   STREAMBID_DCHECK(port == 0 || port == 1);
   Side& mine = sides_[port];
   Side& other = sides_[1 - port];
-
-  const Value& key = tuple.value(mine.key_index);
-  // Probe the other side within the window.
-  auto it = other.table.find(key);
-  if (it != other.table.end()) {
-    for (const Tuple& match : it->second) {
-      if (match.timestamp() >= tuple.timestamp() - window_) {
-        if (port == 0) {
-          Emit(tuple, match, out);
-        } else {
-          Emit(match, tuple, out);
+  for (const Tuple& tuple : batch) {
+    const Value& key = tuple.value(mine.key_index);
+    // Probe the other side within the window.
+    auto it = other.table.find(key);
+    if (it != other.table.end()) {
+      for (const Tuple& match : it->second) {
+        if (match.timestamp() >= tuple.timestamp() - window_) {
+          if (port == 0) {
+            Emit(tuple, match, out);
+          } else {
+            Emit(match, tuple, out);
+          }
         }
       }
     }
+    mine.Insert(key, tuple);
   }
-  mine.Insert(key, tuple);
 }
 
 void JoinOperator::AdvanceTime(VirtualTime now, std::vector<Tuple>* out) {

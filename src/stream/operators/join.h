@@ -9,6 +9,7 @@
 #define STREAMBID_STREAM_OPERATORS_JOIN_H_
 
 #include <deque>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -25,7 +26,8 @@ class JoinOperator : public OperatorBase {
                const std::string& left_key, const std::string& right_key,
                VirtualTime window, SchemaPtr schema);
 
-  void Process(int port, const Tuple& tuple,
+  using OperatorBase::Process;
+  void Process(int port, std::span<const Tuple> batch,
                std::vector<Tuple>* out) override;
 
   void AdvanceTime(VirtualTime now, std::vector<Tuple>* out) override;
@@ -65,7 +67,7 @@ class JoinOperator : public OperatorBase {
   SchemaPtr schema_;
   VirtualTime window_;
   Side sides_[2];  // 0 = left, 1 = right.
-  std::vector<Value> scratch_;  // An output's values, moved into it.
+  std::vector<Value> scratch_;  // An output's values, copied into it.
 };
 
 }  // namespace streambid::stream

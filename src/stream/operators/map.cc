@@ -34,31 +34,33 @@ MapOperator::MapOperator(const SchemaPtr& input_schema,
   STREAMBID_CHECK(fn != MapFn::kDiv || operand != 0.0);
 }
 
-void MapOperator::Process(int port, const Tuple& tuple,
+void MapOperator::Process(int port, std::span<const Tuple> batch,
                           std::vector<Tuple>* out) {
   STREAMBID_DCHECK(port == 0);
   (void)port;
-  const double x = tuple.value(field_index_).AsDouble();
-  double y = 0.0;
-  switch (fn_) {
-    case MapFn::kAdd:
-      y = x + operand_;
-      break;
-    case MapFn::kSub:
-      y = x - operand_;
-      break;
-    case MapFn::kMul:
-      y = x * operand_;
-      break;
-    case MapFn::kDiv:
-      y = x / operand_;
-      break;
+  for (const Tuple& tuple : batch) {
+    const double x = tuple.value(field_index_).AsDouble();
+    double y = 0.0;
+    switch (fn_) {
+      case MapFn::kAdd:
+        y = x + operand_;
+        break;
+      case MapFn::kSub:
+        y = x - operand_;
+        break;
+      case MapFn::kMul:
+        y = x * operand_;
+        break;
+      case MapFn::kDiv:
+        y = x / operand_;
+        break;
+    }
+    const std::span<const Value> in = tuple.values();
+    scratch_.assign(in.begin(), in.end());
+    scratch_.emplace_back(y);
+    out->emplace_back(schema_, scratch_, tuple.timestamp());
+    scratch_.clear();
   }
-  const std::span<const Value> in = tuple.values();
-  scratch_.assign(in.begin(), in.end());
-  scratch_.emplace_back(y);
-  out->emplace_back(schema_, std::span<Value>(scratch_), tuple.timestamp());
-  scratch_.clear();
 }
 
 }  // namespace streambid::stream

@@ -5,6 +5,7 @@
 #ifndef STREAMBID_STREAM_OPERATORS_MAP_H_
 #define STREAMBID_STREAM_OPERATORS_MAP_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,8 @@ class MapOperator : public OperatorBase {
   MapOperator(const SchemaPtr& input_schema, const std::string& field,
               MapFn fn, double operand, SchemaPtr schema);
 
-  void Process(int port, const Tuple& tuple,
+  using OperatorBase::Process;
+  void Process(int port, std::span<const Tuple> batch,
                std::vector<Tuple>* out) override;
 
  private:
@@ -33,7 +35,7 @@ class MapOperator : public OperatorBase {
   int field_index_;
   MapFn fn_;
   double operand_;
-  std::vector<Value> scratch_;  // The output's values, moved into it.
+  std::vector<Value> scratch_;  // The output's values, copied into it.
 };
 
 }  // namespace streambid::stream

@@ -20,13 +20,15 @@ ProjectOperator::ProjectOperator(const SchemaPtr& input_schema,
   }
 }
 
-void ProjectOperator::Process(int port, const Tuple& tuple,
+void ProjectOperator::Process(int port, std::span<const Tuple> batch,
                               std::vector<Tuple>* out) {
   STREAMBID_DCHECK(port == 0);
   (void)port;
-  for (int idx : indices_) scratch_.push_back(tuple.value(idx));
-  out->emplace_back(schema_, std::span<Value>(scratch_), tuple.timestamp());
-  scratch_.clear();
+  for (const Tuple& tuple : batch) {
+    for (int idx : indices_) scratch_.push_back(tuple.value(idx));
+    out->emplace_back(schema_, scratch_, tuple.timestamp());
+    scratch_.clear();
+  }
 }
 
 }  // namespace streambid::stream

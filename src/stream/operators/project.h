@@ -4,6 +4,7 @@
 #ifndef STREAMBID_STREAM_OPERATORS_PROJECT_H_
 #define STREAMBID_STREAM_OPERATORS_PROJECT_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,13 +19,14 @@ class ProjectOperator : public OperatorBase {
   ProjectOperator(const SchemaPtr& input_schema,
                   const std::vector<std::string>& fields, SchemaPtr schema);
 
-  void Process(int port, const Tuple& tuple,
+  using OperatorBase::Process;
+  void Process(int port, std::span<const Tuple> batch,
                std::vector<Tuple>* out) override;
 
  private:
   SchemaPtr schema_;
   std::vector<int> indices_;
-  std::vector<Value> scratch_;  // The output's values, moved into it.
+  std::vector<Value> scratch_;  // The output's values, copied into it.
 };
 
 }  // namespace streambid::stream

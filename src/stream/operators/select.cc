@@ -51,12 +51,14 @@ SelectOperator::SelectOperator(const SchemaPtr& input_schema,
   STREAMBID_CHECK_GE(field_index_, 0);
 }
 
-void SelectOperator::Process(int port, const Tuple& tuple,
+void SelectOperator::Process(int port, std::span<const Tuple> batch,
                              std::vector<Tuple>* out) {
   STREAMBID_DCHECK(port == 0);
   (void)port;
-  if (EvalCompare(tuple.value(field_index_), op_, operand_)) {
-    out->push_back(tuple);
+  for (const Tuple& tuple : batch) {
+    if (EvalCompare(tuple.value(field_index_), op_, operand_)) {
+      out->push_back(tuple);
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #ifndef STREAMBID_STREAM_OPERATORS_SELECT_H_
 #define STREAMBID_STREAM_OPERATORS_SELECT_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,7 +31,8 @@ class SelectOperator : public OperatorBase {
   SelectOperator(const SchemaPtr& input_schema, const std::string& field,
                  CompareOp op, Value operand);
 
-  void Process(int port, const Tuple& tuple,
+  using OperatorBase::Process;
+  void Process(int port, std::span<const Tuple> batch,
                std::vector<Tuple>* out) override;
 
  private:

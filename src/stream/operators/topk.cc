@@ -21,32 +21,34 @@ TopKOperator::TopKOperator(SchemaPtr input_schema, int k,
   STREAMBID_CHECK_GT(window_size, 0.0);
 }
 
-VirtualTime TopKOperator::WindowStart(VirtualTime ts) const {
-  return std::floor(ts / window_size_) * window_size_;
-}
-
-void TopKOperator::Process(int port, const Tuple& tuple,
+void TopKOperator::Process(int port, std::span<const Tuple> batch,
                            std::vector<Tuple>* out) {
   STREAMBID_DCHECK(port == 0);
   (void)port;
   (void)out;  // Emission happens on window close.
-  OpenWindow& w = open_[WindowStart(tuple.timestamp())];
-  const double rank = tuple.value(rank_index_).AsDouble();
-  // Insert in ascending-rank position, after every equal-ranked older
-  // tuple, so of two equal ranks the newer one is kept longer.
-  auto pos = std::upper_bound(
-      w.best.begin(), w.best.end(), rank,
-      [this](double r, const Tuple& t) {
-        return r < t.value(rank_index_).AsDouble();
-      });
-  // Below the smallest of a full window: it would be dropped at once. A
-  // rank equal to the smallest lands after it and displaces it.
-  if (pos == w.best.begin() && static_cast<int>(w.best.size()) == k_) {
-    return;
-  }
-  w.best.insert(pos, tuple);
-  if (static_cast<int>(w.best.size()) > k_) {
-    w.best.erase(w.best.begin());  // Drop the smallest.
+  for (const Tuple& tuple : batch) {
+    const double k = std::floor(tuple.timestamp() / window_size_);
+    if (k != run_k_) {
+      run_ = &open_[k * window_size_];
+      run_k_ = k;
+    }
+    std::vector<Tuple>& best = run_->best;
+    const double rank = tuple.value(rank_index_).AsDouble();
+    // Insert in ascending-rank position, after every equal-ranked older
+    // tuple, so of two equal ranks the newer one is kept longer.
+    auto pos = std::upper_bound(
+        best.begin(), best.end(), rank, [this](double r, const Tuple& t) {
+          return r < t.value(rank_index_).AsDouble();
+        });
+    // Below the smallest of a full window: it would be dropped at once. A
+    // rank equal to the smallest lands after it and displaces it.
+    if (pos == best.begin() && static_cast<int>(best.size()) == k_) {
+      continue;
+    }
+    best.insert(pos, tuple);
+    if (static_cast<int>(best.size()) > k_) {
+      best.erase(best.begin());  // Drop the smallest.
+    }
   }
 }
 
@@ -60,6 +62,7 @@ void TopKOperator::AdvanceTime(VirtualTime now, std::vector<Tuple>* out) {
       out->emplace_back(schema_, t->values(), end);
     }
     it = open_.erase(it);
+    run_k_ = kNoRun;
   }
 }
 

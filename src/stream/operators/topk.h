@@ -6,7 +6,9 @@
 #ifndef STREAMBID_STREAM_OPERATORS_TOPK_H_
 #define STREAMBID_STREAM_OPERATORS_TOPK_H_
 
+#include <limits>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,7 +24,8 @@ class TopKOperator : public OperatorBase {
   TopKOperator(SchemaPtr input_schema, int k, const std::string& rank_field,
                VirtualTime window_size);
 
-  void Process(int port, const Tuple& tuple,
+  using OperatorBase::Process;
+  void Process(int port, std::span<const Tuple> batch,
                std::vector<Tuple>* out) override;
 
   void AdvanceTime(VirtualTime now, std::vector<Tuple>* out) override;
@@ -33,13 +36,19 @@ class TopKOperator : public OperatorBase {
     std::vector<Tuple> best;
   };
 
-  VirtualTime WindowStart(VirtualTime ts) const;
+  static constexpr double kNoRun = std::numeric_limits<double>::quiet_NaN();
 
   SchemaPtr schema_;
   int k_;
   int rank_index_;
   VirtualTime window_size_;
-  std::map<VirtualTime, OpenWindow> open_;
+  std::map<VirtualTime, OpenWindow> open_;  // By window start.
+  // The run: the window of the last tuple whose floor(ts / size) was
+  // looked up, and that floor. A tuple with the same floor joins it
+  // without a lookup. run_k_ is NaN when there is no run (no floor equals
+  // it): before the first tuple, and once AdvanceTime closes a window.
+  double run_k_ = kNoRun;
+  OpenWindow* run_ = nullptr;
 };
 
 }  // namespace streambid::stream

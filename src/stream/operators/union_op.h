@@ -4,6 +4,7 @@
 #ifndef STREAMBID_STREAM_OPERATORS_UNION_OP_H_
 #define STREAMBID_STREAM_OPERATORS_UNION_OP_H_
 
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -18,11 +19,12 @@ class UnionOperator : public OperatorBase {
     STREAMBID_CHECK(*left_schema == *right_schema);
   }
 
-  void Process(int port, const Tuple& tuple,
+  using OperatorBase::Process;
+  void Process(int port, std::span<const Tuple> batch,
                std::vector<Tuple>* out) override {
     STREAMBID_DCHECK(port == 0 || port == 1);
     (void)port;
-    out->push_back(tuple);
+    out->insert(out->end(), batch.begin(), batch.end());
   }
 };
 

@@ -3,7 +3,6 @@
 #include "stream/stream_source.h"
 
 #include <cmath>
-#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -16,7 +15,7 @@ void StreamSource::EmitUntil(VirtualTime until, std::vector<Tuple>* out) {
   const VirtualTime step = 1.0 / rate_;
   while (next_ts_ <= until) {
     Generate(next_ts_, rng_, &values_);
-    out->emplace_back(schema_, std::span<Value>(values_), next_ts_);
+    out->emplace_back(schema_, values_, next_ts_);
     values_.clear();
     next_ts_ += step;
     ++emitted_;
@@ -25,16 +24,18 @@ void StreamSource::EmitUntil(VirtualTime until, std::vector<Tuple>* out) {
 
 namespace {
 
+// The stream sources intern their strings once, here, and Generate
+// copies the Values, so no tuple touches the string pool.
 class StockQuoteSource final : public StreamSource {
  public:
-  StockQuoteSource(std::string name, std::vector<std::string> symbols,
+  StockQuoteSource(std::string name, const std::vector<std::string>& symbols,
                    double rate, uint64_t seed)
       : StreamSource(std::move(name),
                      MakeSchema({{"symbol", ValueType::kString},
                                  {"price", ValueType::kDouble},
                                  {"volume", ValueType::kInt64}}),
                      rate, seed),
-        symbols_(std::move(symbols)),
+        symbols_(symbols.begin(), symbols.end()),
         prices_(symbols_.size(), 100.0) {
     STREAMBID_CHECK(!symbols_.empty());
   }
@@ -47,19 +48,19 @@ class StockQuoteSource final : public StreamSource {
     // Geometric random walk with ~1% step volatility.
     prices_[k] *= std::exp((rng.NextDouble() - 0.5) * 0.02);
     const int64_t volume = 100 + static_cast<int64_t>(rng.NextBounded(10000));
-    values->emplace_back(symbols_[k]);
+    values->push_back(symbols_[k]);
     values->emplace_back(prices_[k]);
     values->emplace_back(volume);
   }
 
  private:
-  std::vector<std::string> symbols_;
+  std::vector<Value> symbols_;
   std::vector<double> prices_;
 };
 
 class NewsSource final : public StreamSource {
  public:
-  NewsSource(std::string name, std::vector<std::string> companies,
+  NewsSource(std::string name, const std::vector<std::string>& companies,
              double listed_fraction, double rate, uint64_t seed)
       : StreamSource(std::move(name),
                      MakeSchema({{"company", ValueType::kString},
@@ -67,7 +68,9 @@ class NewsSource final : public StreamSource {
                                  {"listed", ValueType::kInt64},
                                  {"sentiment", ValueType::kDouble}}),
                      rate, seed),
-        companies_(std::move(companies)),
+        companies_(companies.begin(), companies.end()),
+        categories_{"earnings", "merger", "product", "regulation",
+                    "markets"},
         listed_fraction_(listed_fraction) {
     STREAMBID_CHECK(!companies_.empty());
   }
@@ -76,19 +79,18 @@ class NewsSource final : public StreamSource {
   void Generate(VirtualTime ts, Rng& rng,
                 std::vector<Value>* values) override {
     (void)ts;
-    static const char* kCategories[] = {"earnings", "merger", "product",
-                                        "regulation", "markets"};
     const size_t k = rng.NextBounded(companies_.size());
     const int64_t listed = rng.NextBool(listed_fraction_) ? 1 : 0;
     const double sentiment = rng.NextRange(-1.0, 1.0);
-    values->emplace_back(companies_[k]);
-    values->emplace_back(kCategories[rng.NextBounded(5)]);
+    values->push_back(companies_[k]);
+    values->push_back(categories_[rng.NextBounded(categories_.size())]);
     values->emplace_back(listed);
     values->emplace_back(sentiment);
   }
 
  private:
-  std::vector<std::string> companies_;
+  std::vector<Value> companies_;
+  std::vector<Value> categories_;
   double listed_fraction_;
 };
 
@@ -124,15 +126,15 @@ class SensorSource final : public StreamSource {
 StreamSourcePtr MakeStockQuoteSource(std::string name,
                                      std::vector<std::string> symbols,
                                      double rate, uint64_t seed) {
-  return std::make_unique<StockQuoteSource>(std::move(name),
-                                            std::move(symbols), rate, seed);
+  return std::make_unique<StockQuoteSource>(std::move(name), symbols, rate,
+                                            seed);
 }
 
 StreamSourcePtr MakeNewsSource(std::string name,
                                std::vector<std::string> companies,
                                double listed_fraction, double rate,
                                uint64_t seed) {
-  return std::make_unique<NewsSource>(std::move(name), std::move(companies),
+  return std::make_unique<NewsSource>(std::move(name), companies,
                                       listed_fraction, rate, seed);
 }
 

@@ -44,8 +44,9 @@ class StreamSource {
  protected:
   /// Appends the schema's field values of the tuple stamped `ts` to
   /// `values`, in field order. `values` is a buffer the source keeps and
-  /// reuses: it is empty on every call, and EmitUntil moves what Generate
-  /// appended into the tuple's block.
+  /// reuses: it is empty on every call, and EmitUntil copies what
+  /// Generate appended into the tuple's block. A string field copies a
+  /// Value the source interned when it was constructed.
   virtual void Generate(VirtualTime ts, Rng& rng,
                         std::vector<Value>* values) = 0;
 

@@ -18,9 +18,10 @@ constexpr int kMaxCachedWidth = 8;
 // Blocks one list keeps; beyond it a released block goes to operator
 // delete. It must hold about one tick of a shard's arrivals per source
 // width (100 quotes and 100 sensor readings per tick on the e2e daily_mix
-// workload). Measured on daily_mix (seed 1, 30-s window), a bound of 64
-// leaves allocs_per_query at 121 and 256 brings it to 64; 4096 saves
-// hot_tenants a few more allocations but raises its peak RSS by 2-4%.
+// workload). Measured with 16-byte values (seed 1, 30-s windows): on
+// daily_mix a bound of 64 leaves allocs_per_query at 121, 256 brings it
+// to 64 and 4096 to 63; on hot_tenants 4096 cuts it from 52.9 to 50.0
+// but raises peak RSS by 1.2% over 256.
 constexpr int kMaxCachedBlocks = 256;
 
 // One thread's free lists: per width, a LIFO stack of released blocks
@@ -93,24 +94,11 @@ bool Cached(int width) {
 
 }  // namespace
 
-Tuple::Tuple(SchemaPtr schema, std::span<Value> values,
-             VirtualTime timestamp)
-    : block_(Allocate(std::move(schema), timestamp)) {
-  STREAMBID_CHECK_EQ(values.size(), static_cast<size_t>(block_->n));
-  // Value's move constructor does not throw.
-  std::uninitialized_move(values.begin(), values.end(), ValuesOf(block_));
-}
-
 Tuple::Tuple(SchemaPtr schema, std::span<const Value> values,
              VirtualTime timestamp)
     : block_(Allocate(std::move(schema), timestamp)) {
   STREAMBID_CHECK_EQ(values.size(), static_cast<size_t>(block_->n));
-  try {
-    std::uninitialized_copy(values.begin(), values.end(), ValuesOf(block_));
-  } catch (...) {
-    Free(block_, 0);  // uninitialized_copy destroyed what it made.
-    throw;
-  }
+  std::uninitialized_copy(values.begin(), values.end(), ValuesOf(block_));
 }
 
 Tuple::Block* Tuple::Allocate(SchemaPtr schema, VirtualTime timestamp) {
@@ -121,9 +109,8 @@ Tuple::Block* Tuple::Allocate(SchemaPtr schema, VirtualTime timestamp) {
   return new (memory) Block{1, n, timestamp, std::move(schema)};
 }
 
-void Tuple::Free(Block* block, int constructed) {
+void Tuple::Free(Block* block) {
   const int n = block->n;
-  std::destroy_n(ValuesOf(block), constructed);
   block->~Block();
   if (Cached(n)) {
     t_cache.Give(block, n,

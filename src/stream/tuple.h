@@ -3,21 +3,24 @@
 //
 // A Tuple is a handle to one heap block: a small header (a plain
 // reference count, the field count, the timestamp and the schema), then
-// the field values, constructed in place. Copying a handle (a select or
-// union passing a tuple through, a window or sink keeping it) bumps the
-// count; the values themselves are never copied. Fan-out copies no
-// handle at all: every consumer reads its producer's batch in place.
+// the field values, copied in. Values are trivially copyable (a string
+// value points into the interned pool of stream/value.h), so filling a
+// block is a memcpy and releasing one destroys no value. Copying a handle
+// (a select or union passing a tuple through, a window or sink keeping
+// it) bumps the count; the values themselves are never copied. Fan-out
+// copies no handle at all: every consumer reads its producer's batch in
+// place.
 //
-// The block is recycled. When the last handle goes, the values and the
-// schema pointer are destroyed and the block goes onto the releasing
-// thread's free list for its width (1 to 8 fields; a wider block goes to
-// operator delete), from which the next tuple of that width on that
-// thread takes it. So a steady-state engine tick allocates no block. Each
-// list is bounded, and it frees its blocks when its thread exits; a
-// handle released after that (from another thread_local's destructor or
-// from static destruction) frees its block directly. Under AddressSanitizer
-// a block is poisoned while it sits on a list, so a value read through a
-// reference that outlived its tuple's last handle still reports.
+// The block is recycled. When the last handle goes, the schema pointer
+// is destroyed and the block goes onto the releasing thread's free list
+// for its width (1 to 8 fields; a wider block goes to operator delete),
+// from which the next tuple of that width on that thread takes it. So a
+// steady-state engine tick allocates no block. Each list is bounded, and
+// it frees its blocks when its thread exits; a handle released after that
+// (from another thread_local's destructor or from static destruction)
+// frees its block directly. Under AddressSanitizer a block is poisoned
+// while it sits on a list, so a value read through a reference that
+// outlived its tuple's last handle still reports.
 //
 // The refcount contract: the handles of one payload are copied and
 // released by one thread at a time, so the count is a plain int. An
@@ -26,7 +29,8 @@
 // orders a shard engine's accesses on whichever worker runs it next, and
 // sink histories are read only after that join. A block may be freed on
 // another thread than the one that made it; that thread's list takes it.
-// A tuple taken out of a sink owns its schema pointer, so it stays valid
+// A tuple taken out of a sink owns its schema pointer, and its string
+// values point into the pool, which is never freed, so it stays valid
 // after its query is uninstalled or its engine is destroyed.
 
 #ifndef STREAMBID_STREAM_TUPLE_H_
@@ -54,10 +58,6 @@ using VirtualTime = double;
 class Tuple {
  public:
   Tuple() = default;
-
-  /// Moves `values` (schema->num_fields() of them) into a new block. The
-  /// caller's buffer keeps moved-from values, to clear and refill.
-  Tuple(SchemaPtr schema, std::span<Value> values, VirtualTime timestamp);
 
   /// Copies `values` (schema->num_fields() of them) into a new block.
   Tuple(SchemaPtr schema, std::span<const Value> values,
@@ -137,14 +137,13 @@ class Tuple {
   }
 
   // A block with a header for `schema` and `timestamp`, one reference and
-  // room for schema->num_fields() values, not yet constructed.
+  // room for schema->num_fields() values, not yet filled.
   static Block* Allocate(SchemaPtr schema, VirtualTime timestamp);
-  // Destroys the header and the `constructed` values, then recycles the
-  // block.
-  static void Free(Block* block, int constructed);
+  // Destroys the header, then recycles the block.
+  static void Free(Block* block);
 
   void Release() {
-    if (block_ != nullptr && --block_->refs == 0) Free(block_, block_->n);
+    if (block_ != nullptr && --block_->refs == 0) Free(block_);
   }
 
   Block* block_ = nullptr;

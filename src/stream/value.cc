@@ -5,7 +5,10 @@
 #include <bit>
 #include <cstdio>
 #include <functional>
-#include <string_view>
+#include <unordered_set>
+
+#include "common/lock_order.h"
+#include "common/thread_annotations.h"
 
 namespace streambid::stream {
 
@@ -18,7 +21,55 @@ std::string_view RenderDouble(double x, char (&buf)[32]) {
   return std::string_view(buf, static_cast<size_t>(n));
 }
 
+// Entries by text; a lookup by std::string_view builds no string.
+struct EntryHash {
+  using is_transparent = void;
+  size_t operator()(const Value::Entry& e) const { return e.hash; }
+  size_t operator()(std::string_view text) const {
+    return std::hash<std::string_view>()(text);
+  }
+};
+struct EntryEqual {
+  using is_transparent = void;
+  bool operator()(const Value::Entry& a, const Value::Entry& b) const {
+    return a.text == b.text;
+  }
+  bool operator()(std::string_view a, const Value::Entry& b) const {
+    return a == b.text;
+  }
+  bool operator()(const Value::Entry& a, std::string_view b) const {
+    return a.text == b;
+  }
+};
+
+// The process-wide string pool (see value.h). A node-based set keeps
+// each entry at one address for the life of the process.
+class StringPool {
+ public:
+  const Value::Entry* Intern(std::string_view text) {
+    const size_t hash = EntryHash()(text);
+    MutexLock lock(mutex_);
+    auto it = entries_.find(text);
+    if (it == entries_.end()) {
+      it = entries_.insert(Value::Entry{std::string(text), hash}).first;
+    }
+    return &*it;
+  }
+
+ private:
+  Mutex mutex_{LockRank::kValuePool, "stream/value_pool"};
+  std::unordered_set<Value::Entry, EntryHash, EntryEqual> entries_
+      GUARDED_BY(mutex_);
+};
+
 }  // namespace
+
+const Value::Entry* Value::Intern(std::string_view text) {
+  // Leaked on purpose: entries must outlive every Value, including those
+  // in thread_local and static objects destroyed at exit.
+  static StringPool* const pool = new StringPool;
+  return pool->Intern(text);
+}
 
 std::string Value::ToString() const {
   switch (type()) {
@@ -48,39 +99,36 @@ std::string Value::ToKey() const {
 }
 
 bool Value::SameKey(const Value& other) const {
-  if (data_.index() != other.data_.index()) return false;
-  switch (type()) {
+  if (type_ != other.type_) return false;
+  switch (type_) {
     case ValueType::kInt64:
-      return std::get<int64_t>(data_) == std::get<int64_t>(other.data_);
+      return int_ == other.int_;
     case ValueType::kString:
-      return std::get<std::string>(data_) ==
-             std::get<std::string>(other.data_);
+      return entry_ == other.entry_;
     case ValueType::kDouble: {
-      const double a = std::get<double>(data_);
-      const double b = std::get<double>(other.data_);
-      if (std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b)) {
+      if (std::bit_cast<uint64_t>(double_) ==
+          std::bit_cast<uint64_t>(other.double_)) {
         return true;
       }
       char buf_a[32];
       char buf_b[32];
-      return RenderDouble(a, buf_a) == RenderDouble(b, buf_b);
+      return RenderDouble(double_, buf_a) == RenderDouble(other.double_, buf_b);
     }
   }
   return false;
 }
 
 size_t Value::KeyHash() const {
-  switch (type()) {
+  switch (type_) {
     case ValueType::kInt64:
-      return std::hash<int64_t>()(std::get<int64_t>(data_));
+      return std::hash<int64_t>()(int_);
     case ValueType::kString:
-      return std::hash<std::string_view>()(std::get<std::string>(data_));
+      return entry_->hash;
     case ValueType::kDouble: {
       // Hash the spelling SameKey compares; the salt keeps 1.0 off the
       // string "1"'s hash.
       char buf[32];
-      return std::hash<std::string_view>()(
-                 RenderDouble(std::get<double>(data_), buf)) ^
+      return std::hash<std::string_view>()(RenderDouble(double_, buf)) ^
              size_t{0x9E3779B97F4A7C15ull};
     }
   }

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "batch_feed.h"
 #include "stream/operators/aggregate.h"
 #include "stream/operators/join.h"
 #include "stream/operators/map.h"
@@ -289,6 +294,141 @@ TEST(AggregateOperatorTest, GroupsEmitInKeyOrder) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].field("symbol").AsString(), "a");
   EXPECT_EQ(out[1].field("symbol").AsString(), "b");
+}
+
+// --- Batches and window runs ------------------------------------------
+
+/// sum(price) group-by symbol with no window run: every tuple walks its
+/// windows from floor(ts / slide) down, as AggregateOperator's Walk does.
+std::vector<std::string> ReferenceSums(const BatchFeed& feed,
+                                       WindowSpec window) {
+  const SchemaPtr schema = AggSchema({{"symbol", ValueType::kString}});
+  std::map<VirtualTime, std::map<std::string, std::pair<Value, double>>>
+      open;
+  std::vector<std::string> out;
+  auto advance = [&](VirtualTime now) {
+    while (!open.empty() && open.begin()->first + window.size <= now) {
+      const VirtualTime end = open.begin()->first + window.size;
+      for (const auto& [key, group] : open.begin()->second) {
+        out.push_back(Exact(Tuple(
+            schema, {group.first, Value(end), Value(group.second)}, end)));
+      }
+      open.erase(open.begin());
+    }
+  };
+  for (size_t i = 0; i <= feed.tuples.size(); ++i) {
+    auto at = feed.advances.find(i);
+    if (at != feed.advances.end()) advance(at->second);
+    if (i == feed.tuples.size()) break;
+    const Tuple& t = feed.tuples[i];
+    const VirtualTime ts = t.timestamp();
+    for (double k = std::floor(ts / window.slide);; k -= 1.0) {
+      const VirtualTime s = k * window.slide;
+      if (s < 0.0 && k < 0.0) break;
+      if (s + window.size <= ts) break;
+      auto& group = open[s][t.value(0).ToKey()];
+      group.first = t.value(0);
+      group.second += t.value(1).AsDouble();
+      if (k == 0.0) break;
+    }
+  }
+  advance(kCloseAll);
+  return out;
+}
+
+/// Checks the grouped sum over `window` against ReferenceSums under every
+/// batching of `feed`.
+void ExpectSumsMatchReference(const BatchFeed& feed, WindowSpec window) {
+  const SchemaPtr s = QuoteSchema();
+  ExpectEveryBatchingEmits(
+      [&] {
+        return std::make_unique<AggregateOperator>(
+            s, AggFn::kSum, "price", "symbol", window,
+            AggSchema({s->field(0)}));
+      },
+      feed, ReferenceSums(feed, window));
+}
+
+/// Quotes at `stamps`, alternating two symbols, with distinct prices.
+BatchFeed QuotesAt(const std::vector<VirtualTime>& stamps) {
+  const SchemaPtr s = QuoteSchema();
+  BatchFeed feed;
+  for (size_t i = 0; i < stamps.size(); ++i) {
+    feed.tuples.push_back(Quote(s, i % 2 == 0 ? "IBM" : "AAPL",
+                                1.0 + 0.25 * static_cast<double>(i), 1,
+                                stamps[i]));
+  }
+  return feed;
+}
+
+TEST(AggregateBatchTest, TumblingWindows) {
+  ExpectSumsMatchReference(
+      QuotesAt({0.0, 1.5, 3.0, 9.5, 9.99, 10.0, 12.0, 19.0, 25.0}),
+      {10.0, 10.0});
+}
+
+TEST(AggregateBatchTest, SlidingWindows) {
+  ExpectSumsMatchReference(
+      QuotesAt({0.0, 2.0, 4.9, 5.0, 7.5, 9.99, 10.0, 14.0, 15.0, 21.0}),
+      {10.0, 5.0});
+}
+
+TEST(AggregateBatchTest, SizeNotAMultipleOfSlide) {
+  ExpectSumsMatchReference(
+      QuotesAt({0.5, 2.9, 3.0, 5.5, 8.9, 9.0, 9.5, 10.0, 11.5, 12.0, 13.1}),
+      {10.0, 3.0});
+}
+
+TEST(AggregateBatchTest, BatchStraddlesAWindowEnd) {
+  // One batch holds the last tuples of [0,10) and the first of [10,20),
+  // with no AdvanceTime between them.
+  const BatchFeed feed =
+      QuotesAt({8.0, 9.0, 9.999, 10.0, 10.001, 11.0, 19.999, 20.0});
+  ExpectSumsMatchReference(feed, {10.0, 10.0});
+  ExpectSumsMatchReference(feed, {10.0, 5.0});
+  ExpectSumsMatchReference(feed, {10.0, 3.0});
+}
+
+TEST(AggregateBatchTest, OutOfOrderTimestampsInOneBatch) {
+  // 9.5 and 11.5 share floor(ts / slide) = 3 under slide 3, but 9.5 also
+  // belongs to [0,10): a tuple older than the one that resolved the
+  // windows must walk its own.
+  const BatchFeed feed =
+      QuotesAt({11.5, 9.5, 12.0, 3.0, 14.0, 9.0, 11.9, 0.5});
+  ExpectSumsMatchReference(feed, {10.0, 3.0});
+  ExpectSumsMatchReference(feed, {10.0, 4.0});
+  ExpectSumsMatchReference(feed, {10.0, 10.0});
+}
+
+TEST(AggregateBatchTest, TenthsWhereTheFloorRoundsDown) {
+  // ts = k * 0.1: floor(ts / 0.1) is k - 1 at k = 43, 81, 86 and 91, and
+  // under tumbling windows such a tuple falls in no window at all.
+  ASSERT_EQ(std::floor((43 * 0.1) / 0.1), 42.0);
+  std::vector<VirtualTime> stamps;
+  for (int k = 0; k < 96; ++k) stamps.push_back(k * 0.1);
+  const BatchFeed feed = QuotesAt(stamps);
+  ExpectSumsMatchReference(feed, {0.1, 0.1});
+  ExpectSumsMatchReference(feed, {0.3, 0.1});
+}
+
+TEST(AggregateBatchTest, StartsThatRoundTogether) {
+  // Near ts = 8e14 a double's spacing (0.125) exceeds the slide, so two
+  // k can round to one start and a walk adds to that window twice; such
+  // a walk must leave no run for the next tuple to reuse.
+  ASSERT_EQ(8e15 * 0.1, (8e15 - 1.0) * 0.1);
+  ExpectSumsMatchReference(
+      QuotesAt({8e14, 8e14, 8e14 + 0.125, 8e14 + 0.125, 8e14 + 0.25}),
+      {0.3, 0.1});
+}
+
+TEST(AggregateBatchTest, AdvanceBetweenBatchesDropsTheRun) {
+  // 12 resolves [5,15) and [10,20); AdvanceTime(15) closes [5,15), so the
+  // late 13 must walk again (and reopen [5,15)) rather than add to the
+  // closed window.
+  BatchFeed feed = QuotesAt({12.0, 13.0, 13.5, 16.0, 14.0});
+  feed.advances = {{1, 15.0}, {4, 17.0}};
+  ExpectSumsMatchReference(feed, {10.0, 5.0});
+  ExpectSumsMatchReference(feed, {10.0, 10.0});
 }
 
 TEST(JoinOperatorTest, MatchesWithinWindow) {

@@ -3,6 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "batch_feed.h"
 #include "stream/engine.h"
 #include "stream/operators/distinct.h"
 #include "stream/operators/topk.h"
@@ -70,6 +78,86 @@ TEST(TopKOperatorTest, WindowsAreIndependent) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_DOUBLE_EQ(out[0].field("price").AsDouble(), 9.0);
   EXPECT_DOUBLE_EQ(out[1].field("price").AsDouble(), 2.0);
+}
+
+/// topk(k by price over `size`) with no window run: every tuple looks up
+/// window floor(ts / size) * size, and a window keeps its k largest
+/// prices, the newer of two equal ones.
+std::vector<std::string> ReferenceTopK(const BatchFeed& feed, int k,
+                                       VirtualTime size) {
+  std::map<VirtualTime, std::vector<size_t>> open;  // Arrival indexes.
+  std::vector<std::string> out;
+  auto advance = [&](VirtualTime now) {
+    while (!open.empty() && open.begin()->first + size <= now) {
+      const VirtualTime end = open.begin()->first + size;
+      std::vector<size_t> kept = open.begin()->second;
+      std::sort(kept.begin(), kept.end(), [&](size_t a, size_t b) {
+        const double ra = feed.tuples[a].field("price").AsDouble();
+        const double rb = feed.tuples[b].field("price").AsDouble();
+        return ra != rb ? ra > rb : a > b;
+      });
+      kept.resize(std::min(kept.size(), static_cast<size_t>(k)));
+      for (size_t i : kept) {
+        const Tuple& t = feed.tuples[i];
+        out.push_back(Exact(Tuple(t.schema(), t.values(), end)));
+      }
+      open.erase(open.begin());
+    }
+  };
+  for (size_t i = 0; i <= feed.tuples.size(); ++i) {
+    auto at = feed.advances.find(i);
+    if (at != feed.advances.end()) advance(at->second);
+    if (i == feed.tuples.size()) break;
+    const VirtualTime ts = feed.tuples[i].timestamp();
+    open[std::floor(ts / size) * size].push_back(i);
+  }
+  advance(kCloseAll);
+  return out;
+}
+
+void ExpectTopKMatchesReference(const BatchFeed& feed, int k,
+                                VirtualTime size) {
+  const SchemaPtr s = QuoteSchema();
+  ExpectEveryBatchingEmits(
+      [&] { return std::make_unique<TopKOperator>(s, k, "price", size); },
+      feed, ReferenceTopK(feed, k, size));
+}
+
+/// Quotes at `stamps` with prices that repeat, so ties occur.
+BatchFeed QuotesAt(const std::vector<VirtualTime>& stamps) {
+  const SchemaPtr s = QuoteSchema();
+  BatchFeed feed;
+  for (size_t i = 0; i < stamps.size(); ++i) {
+    feed.tuples.push_back(Quote(s, "S" + std::to_string(i),
+                                static_cast<double>((i * 7) % 5),
+                                stamps[i]));
+  }
+  return feed;
+}
+
+TEST(TopKBatchTest, WindowRunsAcrossBatchings) {
+  // Window ends inside a batch, out-of-order stamps, and a batch that
+  // straddles the end of [0,10).
+  const BatchFeed feed = QuotesAt(
+      {0.0, 3.0, 9.5, 9.999, 10.0, 4.0, 12.0, 19.0, 11.0, 20.0, 35.0});
+  ExpectTopKMatchesReference(feed, 2, 10.0);
+  ExpectTopKMatchesReference(feed, 3, 3.0);
+}
+
+TEST(TopKBatchTest, TenthsWhereTheFloorRoundsDown) {
+  std::vector<VirtualTime> stamps;
+  for (int k = 0; k < 96; ++k) stamps.push_back(k * 0.1);
+  const BatchFeed feed = QuotesAt(stamps);
+  ExpectTopKMatchesReference(feed, 1, 0.1);
+  ExpectTopKMatchesReference(feed, 2, 0.3);
+}
+
+TEST(TopKBatchTest, AdvanceBetweenBatchesDropsTheRun) {
+  // 12 looks up [10,20); AdvanceTime(20) closes it, so the late 15 opens
+  // a new [10,20) rather than adding to the closed one.
+  BatchFeed feed = QuotesAt({12.0, 13.0, 15.0, 16.0, 21.0});
+  feed.advances = {{2, 20.0}, {4, 20.5}};
+  ExpectTopKMatchesReference(feed, 2, 10.0);
 }
 
 TEST(DistinctOperatorTest, SuppressesDuplicatesWithinWindow) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -77,15 +76,17 @@ TEST(TupleTest, DefaultTupleIsEmpty) {
   EXPECT_DOUBLE_EQ(t.timestamp(), 0.0);
 }
 
-TEST(TupleTest, MovingAndCopyingConstructorsAgree) {
+TEST(TupleTest, ConstructorCopiesTheCallersValues) {
   std::vector<Value> buffer = {Value("IBM"), Value(101.5)};
-  const Tuple moved(QuoteSchema(), std::span<Value>(buffer), 1.0);
-  const Tuple copied(QuoteSchema(), moved.values(), 2.0);
-  EXPECT_EQ(moved.value(0).AsString(), "IBM");
-  EXPECT_EQ(copied.value(0).AsString(), "IBM");
+  const Tuple made(QuoteSchema(), buffer, 1.0);
+  const Tuple copied(QuoteSchema(), made.values(), 2.0);
+  buffer[1] = Value(7.0);  // The caller refills its own buffer.
+  EXPECT_DOUBLE_EQ(made.value(1).AsDouble(), 101.5);
   EXPECT_DOUBLE_EQ(copied.value(1).AsDouble(), 101.5);
-  EXPECT_NE(copied.values().data(), moved.values().data());
-  EXPECT_EQ(buffer.size(), 2u);  // The caller clears its own buffer.
+  EXPECT_NE(copied.values().data(), made.values().data());
+  // A string value copies its interned entry, not the text.
+  EXPECT_EQ(&made.value(0).AsString(), &buffer[0].AsString());
+  EXPECT_EQ(&copied.value(0).AsString(), &buffer[0].AsString());
 }
 
 TEST(TupleTest, ReleasedBlockIsReusedForItsWidth) {

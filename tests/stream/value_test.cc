@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 namespace streambid::stream {
@@ -73,6 +76,9 @@ TEST(ValueTest, SameKeyMatchesToKey) {
       Value(""),
       Value("1"),
       Value("IBM"),
+      Value(std::string("IBM")),  // A second Value of an interned text.
+      Value("value-test-b"),
+      Value("value-test-a"),
       Value(std::string(40, 'x')),
   };
   for (const Value& a : values) {
@@ -90,6 +96,76 @@ TEST(ValueTest, SameKeyMatchesToKey) {
   EXPECT_FALSE(Value(1.0).SameKey(Value("1")));
   EXPECT_TRUE(Value(1.0000001).SameKey(Value(1.0000002)));
   EXPECT_FALSE(Value(0.0).SameKey(Value(-0.0)));
+}
+
+TEST(ValueTest, EqualTextsShareOneEntry) {
+  const std::string text = "value-test-shared";
+  const Value a(text);
+  const Value b(text.c_str());
+  const Value copy = a;
+  EXPECT_EQ(&a.AsString(), &b.AsString());
+  EXPECT_EQ(&copy.AsString(), &a.AsString());
+  EXPECT_EQ(a, b);
+  EXPECT_TRUE(a.SameKey(b));
+  EXPECT_EQ(a.KeyHash(), std::hash<std::string_view>()(text));
+  EXPECT_NE(&Value("value-test-other").AsString(), &a.AsString());
+}
+
+TEST(ValueTest, IntDoubleAndStringOneKeyApart) {
+  const Value i(int64_t{1});
+  const Value d(1.0);
+  const Value s("1");
+  EXPECT_EQ(i.ToKey(), "i:1");
+  EXPECT_EQ(d.ToKey(), "d:1");
+  EXPECT_EQ(s.ToKey(), "s:1");
+  EXPECT_FALSE(i.SameKey(d));
+  EXPECT_FALSE(i.SameKey(s));
+  EXPECT_FALSE(d.SameKey(s));
+  EXPECT_EQ(i, d);  // Numeric equality still promotes.
+  EXPECT_NE(i, s);
+  EXPECT_NE(d, s);
+}
+
+TEST(ValueTest, StringsOrderByTextNotByInterningOrder) {
+  // Interned in reverse order, so their entries' addresses need not
+  // follow their text.
+  const Value b("value-test-order-b");
+  const Value a("value-test-order-a");
+  EXPECT_LT(a, b);
+  EXPECT_FALSE(b < a);
+  EXPECT_FALSE(a < a);
+  EXPECT_LT(Value("value-test-order-a"), Value("value-test-order-aa"));
+}
+
+TEST(ValueTest, InternsFromManyThreads) {
+  // Eight threads intern the same strings at once; every thread must get
+  // the one entry per text.
+  constexpr int kThreads = 8;
+  constexpr int kStrings = 1000;
+  std::vector<std::string> texts;
+  for (int i = 0; i < kStrings; ++i) {
+    texts.push_back("value-test-thread-" + std::to_string(i));
+  }
+  std::vector<std::vector<const std::string*>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&texts, &seen, t] {
+      for (int i = 0; i < kStrings; ++i) {
+        // Each thread walks the texts from a different offset.
+        const int j = (i + t * kStrings / kThreads) % kStrings;
+        seen[t].push_back(&Value(texts[j]).AsString());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(seen[t].size(), static_cast<size_t>(kStrings));
+    for (int i = 0; i < kStrings; ++i) {
+      const int j = (i + t * kStrings / kThreads) % kStrings;
+      EXPECT_EQ(seen[t][i], &Value(texts[j]).AsString());
+      EXPECT_EQ(*seen[t][i], texts[j]);
+    }
+  }
 }
 
 TEST(ValueTest, DefaultIsZeroInt) {
