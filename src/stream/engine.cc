@@ -7,6 +7,8 @@
 #include <utility>
 
 #include "common/check.h"
+#include "stream/aggregate_family.h"
+#include "stream/operators/aggregate.h"
 #include "stream/operators/distinct.h"
 #include "stream/operators/join.h"
 #include "stream/operators/project.h"
@@ -70,12 +72,12 @@ OperatorPtr MakeOperator(const OpSpec& spec,
 }  // namespace
 
 /// One runtime graph node: a source tap (source_index >= 0), an indexed
-/// select (index != nullptr) or an operator instance. Nodes are owned by
-/// the signature map; topo_ holds raw pointers in creation
-/// (= topological) order.
+/// select (index != nullptr), a family aggregate (family != nullptr) or an
+/// operator instance. Nodes are owned by the signature map; topo_ holds
+/// raw pointers in creation (= topological) order.
 struct Engine::Node {
   std::string signature;
-  OperatorPtr op;          // Null for source taps and indexed selects.
+  OperatorPtr op;  // Null for source taps, indexed selects and families.
   int source_index = -1;   // Valid for source taps.
   SchemaPtr schema;        // Output schema.
   double cost = 0.0;       // OpSpec::cost_per_tuple(); 0 for source taps.
@@ -92,6 +94,15 @@ struct Engine::Node {
   // An indexed select's membership: its input's index, which appends to
   // `out` the input tuples the select passes.
   SelectIndex* index = nullptr;
+  // The aggregate families of the aggregates over this node's indexed
+  // selects, by what they share. A pass hands this node's final batch to
+  // them once its indexes routed it.
+  std::map<AggregateFamily::Key, AggregateFamily> families;
+  // A family aggregate's membership: the family its select's input keeps
+  // (`family`), in which `member` reads the select's batch; it emits into
+  // `out` at this node's turn.
+  AggregateFamily* family = nullptr;
+  AggregateFamily::Member* member = nullptr;
   // This pass's outputs (a tap's arrivals, the tuples an indexed select
   // passes), oldest first. Consumers read it in place; ProcessPass
   // clears it after the whole pass with its capacity kept, so a
@@ -171,13 +182,24 @@ Status Engine::Instantiate(const QueryPlan& plan, int idx,
       }
       STREAMBID_ASSIGN_OR_RETURN(fresh->schema,
                                  pn.spec.OutputSchema(input_schemas));
+      Node* input = reads[0].first;
       if (IsIndexedSelect(pn.spec, *input_schemas[0])) {
         // Join (or open) the index its input keeps for the field it reads.
-        Node* input = reads[0].first;
         const int field = input->schema->FieldIndex(pn.spec.field);
         fresh->index = &input->indexes.try_emplace(field, field).first->second;
         fresh->index->Add(pn.spec.compare_op, pn.spec.operand.AsDouble(),
                           &fresh->out);
+      } else if (pn.spec.kind == OpKind::kAggregate &&
+                 input->index != nullptr) {
+        // Join (or open) the family its select's input keeps for what it
+        // walks, reading the select's batch.
+        const auto key = AggregateFamily::Key::Of(
+            *input->schema, pn.spec.agg_fn, pn.spec.field,
+            pn.spec.group_field, pn.spec.window);
+        Node* producer = input->reads[0].first;
+        fresh->family = &producer->families.try_emplace(key, key).first->second;
+        fresh->member =
+            fresh->family->Add(pn.spec.agg_fn, fresh->schema, &input->out);
       } else {
         fresh->op = MakeOperator(pn.spec, input_schemas, fresh->schema);
       }
@@ -248,18 +270,26 @@ void Engine::Release(const Query& query) {
   // Every node follows its inputs in query.nodes, so walking it backwards
   // destroys an orphan's consumers before the orphan itself. A consumer
   // holds its inputs, and a producer keeps no edge list but the indexes
-  // of the selects that read it, so destroying a node unlinks only an
-  // indexed select from its input's index (dropping the index with its
-  // last member). An orphan's index members are its consumers, so by its
-  // turn they have left.
+  // of the selects that read it and the families of the aggregates over
+  // those, so destroying a node unlinks only an indexed select from its
+  // input's index, or a family aggregate from its family (dropping the
+  // index or family with its last member). An orphan's index and family
+  // members read it through its consumers, so by its turn they have left.
   for (auto n = query.nodes.rbegin(); n != query.nodes.rend(); ++n) {
     Node* node = *n;
     if (--node->subscribers > 0) continue;
-    STREAMBID_CHECK(node->indexes.empty());
+    STREAMBID_CHECK(node->indexes.empty() && node->families.empty());
     if (node->index != nullptr) {
       node->index->Remove(&node->out);
       if (node->index->empty()) {
         node->reads[0].first->indexes.erase(node->index->field());
+      }
+    }
+    if (node->family != nullptr) {
+      node->family->Remove(node->member);
+      if (node->family->empty()) {
+        const AggregateFamily::Key key = node->family->key();
+        node->reads[0].first->reads[0].first->families.erase(key);
       }
     }
     topo_.erase(std::find(topo_.begin(), topo_.end(), node));
@@ -315,7 +345,8 @@ double Engine::ProcessPass(VirtualTime now) {
   // ordered pass runs everything, including window emissions. A node
   // appends to its own batch while it reads earlier nodes' batches, and
   // its select indexes append to its members' batches, which are read
-  // only at or after the members' turn. Every batch is cleared only
+  // only at or after the members' turn (its families, at their members'
+  // turns, emit what those batches brought). Every batch is cleared only
   // after the pass, so each batch stays valid for every consumer that
   // reads it.
   double pass_cost = 0.0;
@@ -323,16 +354,21 @@ double Engine::ProcessPass(VirtualTime now) {
     if (node->source_index >= 0) {
       // Source tap: its batch is this tick's arrivals.
       node->processed += static_cast<int64_t>(node->out.size());
-    } else if (node->index != nullptr) {
+    } else if (node->index != nullptr || node->family != nullptr) {
       // Indexed select: its input's index already routed the tuples it
-      // passes into its batch. It charges its cost per input tuple, as an
-      // operator does, with the same additions in the same order.
+      // passes into its batch. Family aggregate: its family already added
+      // its select's batch; it emits its closed windows now. Either
+      // charges its cost per input tuple, as an operator does, with the
+      // same additions in the same order.
       const size_t inputs = node->reads[0].first->out.size();
       for (size_t i = 0; i < inputs; ++i) {
         node->run_cost += node->cost;
         pass_cost += node->cost;
       }
       node->processed += static_cast<int64_t>(inputs);
+      if (node->family != nullptr) {
+        node->family->Emit(node->member, now, &node->out);
+      }
     } else {
       const auto& reads = node->reads;
       for (size_t r = 0; r < reads.size();) {
@@ -366,8 +402,10 @@ double Engine::ProcessPass(VirtualTime now) {
       }
       node->op->AdvanceTime(now, &node->out);
     }
-    // The batch is final: hand it to the indexed selects that read it.
+    // The batch is final: hand it to the indexed selects that read it,
+    // then to the families of the aggregates over those.
     for (auto& [field, index] : node->indexes) index.Route(node->out);
+    for (auto& [key, family] : node->families) family.Accumulate(node->out);
     FeedSinks(*node);
   }
   for (Node* node : topo_) node->out.clear();

@@ -27,6 +27,17 @@
 // per input tuple at its own turn, as an operator does, so measured
 // loads are those of one select call per tuple.
 //
+// Likewise an aggregate over an indexed select builds no operator: it is
+// a member of the AggregateFamily (stream/aggregate_family.h) that the
+// select's input keeps for what the aggregate walks (its aggregated
+// field, none for count; its group-by field; its window). Once that
+// node's indexes routed its batch, the family reads the batch once: each
+// tuple that passed a member's select walks its windows and looks its
+// group up once per window, and every member it reached adds it to its
+// own accumulators, in batch order. At its own turn a member charges its
+// cost once per input tuple and emits its closed windows, exactly what
+// an aggregate operator over its select would.
+//
 // A subscription-period boundary (the paper's transition phase) is
 // UninstallQuery/InstallQuery between two Run calls. Every Run tick ends
 // with a full pass that runs every node and then clears every batch, so

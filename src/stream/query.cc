@@ -180,7 +180,8 @@ std::string OpSpec::Signature() const {
     case OpKind::kProject: {
       std::string sig = "project(";
       for (size_t i = 0; i < fields.size(); ++i) {
-        sig += (i == 0 ? "" : ",") + Escape(fields[i]);
+        if (i > 0) sig += ',';
+        sig += Escape(fields[i]);
       }
       return sig + ")";
     }

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "stream/operators/aggregate.h"
+#include "stream/aggregate_family.h"
 #include "stream/operators/map.h"
 #include "stream/operators/select.h"
 #include "stream/tuple.h"

@@ -117,6 +117,10 @@ class Tuple {
     return {ValuesOf(block_), static_cast<size_t>(block_->n)};
   }
 
+  /// True when both handles hold one block: the same tuple, not merely
+  /// equal values.
+  bool SameBlock(const Tuple& other) const { return block_ == other.block_; }
+
   /// "(ts=1.5 sym=IBM price=42)" — debugging and sinks.
   std::string ToString() const;
 

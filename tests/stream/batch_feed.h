@@ -1,6 +1,7 @@
 // Copyright 2026 The streambid Authors
 // Test support for train-at-a-time operators: feed one sequence of tuples
-// to fresh operators under every batching and compare what they emit.
+// to fresh operators under every batching and compare what they emit, and
+// the per-tuple window walk every aggregate must agree with.
 
 #ifndef STREAMBID_TESTS_STREAM_BATCH_FEED_H_
 #define STREAMBID_TESTS_STREAM_BATCH_FEED_H_
@@ -8,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <map>
@@ -15,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "stream/aggregate_family.h"
 #include "stream/operator.h"
 
 namespace streambid::stream {
@@ -29,7 +33,8 @@ inline std::string Exact(const Tuple& t) {
       std::snprintf(buf, sizeof(buf), " %a", v.AsDouble());
       out += buf;
     } else {
-      out += " " + v.ToKey();
+      out += ' ';
+      out += v.ToKey();
     }
   }
   return out;
@@ -93,6 +98,84 @@ void ExpectEveryBatchingEmits(const Make& make, const BatchFeed& feed,
     auto op = make();
     EXPECT_EQ(RunBatched(*op, feed, {i}), expected) << "split at " << i;
   }
+}
+
+/// What an aggregate computing `fn` over field `agg_field` (-1 for count),
+/// grouped by field `group_field` (-1 when ungrouped), over `window`
+/// emits for `feed`, as tuples of `schema`, spelled exactly. Every tuple
+/// walks its windows from floor(ts / slide) down, with no run, until a
+/// window ends by ts, the start 0, or a j that j - 1.0 cannot step down
+/// from; before the tuple at each index in `feed.advances`, the windows
+/// that end by then close in start order, each emitting its groups in
+/// ToKey() order with the group-by value last added. Windows still open
+/// after the last advance emit nothing.
+inline std::vector<std::string> ReferenceAggregate(const BatchFeed& feed,
+                                                   AggFn fn, int agg_field,
+                                                   int group_field,
+                                                   WindowSpec window,
+                                                   const SchemaPtr& schema) {
+  struct Group {
+    Value value;
+    int64_t count = 0;
+    double sum = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+  };
+  std::map<VirtualTime, std::map<std::string, Group>> open;
+  std::vector<std::string> out;
+  auto advance = [&](VirtualTime now) {
+    while (!open.empty() && open.begin()->first + window.size <= now) {
+      const VirtualTime end = open.begin()->first + window.size;
+      for (const auto& [key, g] : open.begin()->second) {
+        double result = 0.0;
+        switch (fn) {
+          case AggFn::kCount:
+            result = static_cast<double>(g.count);
+            break;
+          case AggFn::kSum:
+            result = g.sum;
+            break;
+          case AggFn::kAvg:
+            result = g.sum / static_cast<double>(g.count);
+            break;
+          case AggFn::kMin:
+            result = g.min;
+            break;
+          case AggFn::kMax:
+            result = g.max;
+            break;
+        }
+        std::vector<Value> values;
+        if (group_field >= 0) values.push_back(g.value);
+        values.push_back(Value(end));
+        values.push_back(Value(result));
+        out.push_back(Exact(Tuple(schema, values, end)));
+      }
+      open.erase(open.begin());
+    }
+  };
+  for (size_t i = 0; i <= feed.tuples.size(); ++i) {
+    auto at = feed.advances.find(i);
+    if (at != feed.advances.end()) advance(at->second);
+    if (i == feed.tuples.size()) break;
+    const Tuple& t = feed.tuples[i];
+    const double x = agg_field >= 0 ? t.value(agg_field).AsDouble() : 1.0;
+    const Value group = group_field >= 0 ? t.value(group_field) : Value();
+    const VirtualTime ts = t.timestamp();
+    for (double j = std::floor(ts / window.slide);; j -= 1.0) {
+      const VirtualTime s = j * window.slide;
+      if (s < 0.0 && j < 0.0) break;
+      if (s + window.size <= ts) break;
+      Group& g = open[s][group.ToKey()];
+      g.value = group;
+      g.min = g.count == 0 ? x : std::min(g.min, x);
+      g.max = g.count == 0 ? x : std::max(g.max, x);
+      ++g.count;
+      g.sum += x;
+      if (j == 0.0 || j - 1.0 == j) break;
+    }
+  }
+  return out;
 }
 
 }  // namespace streambid::stream

@@ -741,33 +741,32 @@ TEST_F(EngineTest, DerivedSchemaMatchesEmittedTuples) {
   // One plan per operator kind over the quotes source (symbol, price),
   // each window closing within the run.
   std::vector<std::pair<std::string, QueryPlan>> kinds;
+  auto add = [&kinds](const char* kind, QueryPlan plan) {
+    std::pair<std::string, QueryPlan> entry(kind, std::move(plan));
+    kinds.push_back(std::move(entry));
+  };
   QueryBuilder b;
   int src = b.Source("quotes");
-  kinds.emplace_back(
-      "select",
-      b.Build(b.Select(src, "price", CompareOp::kGt, Value(5.0))));
+  add("select", b.Build(b.Select(src, "price", CompareOp::kGt, Value(5.0))));
   src = b.Source("quotes");
-  kinds.emplace_back("project", b.Build(b.Project(src, {"price", "symbol"})));
+  add("project", b.Build(b.Project(src, {"price", "symbol"})));
   src = b.Source("quotes");
-  kinds.emplace_back(
-      "map", b.Build(b.Map(src, "price", MapFn::kMul, 2.0, "scaled")));
+  add("map", b.Build(b.Map(src, "price", MapFn::kMul, 2.0, "scaled")));
   src = b.Source("quotes");
-  kinds.emplace_back("grouped aggregate",
-                     b.Build(b.Aggregate(src, AggFn::kAvg, "price",
-                                         "symbol", {2.0, 2.0})));
+  add("grouped aggregate", b.Build(b.Aggregate(src, AggFn::kAvg, "price",
+                                               "symbol", {2.0, 2.0})));
   src = b.Source("quotes");
-  kinds.emplace_back(
-      "ungrouped aggregate",
+  add("ungrouped aggregate",
       b.Build(b.Aggregate(src, AggFn::kCount, "", "", {2.0, 1.0})));
   src = b.Source("quotes");
-  kinds.emplace_back(  // Every right name is renamed r_<name>.
-      "join", b.Build(b.Join(src, src, "symbol", "symbol", 1.0)));
+  // Every right name is renamed r_<name>.
+  add("join", b.Build(b.Join(src, src, "symbol", "symbol", 1.0)));
   src = b.Source("quotes");
-  kinds.emplace_back("union", b.Build(b.Union(src, src)));
+  add("union", b.Build(b.Union(src, src)));
   src = b.Source("quotes");
-  kinds.emplace_back("topk", b.Build(b.TopK(src, 3, "price", 2.0)));
+  add("topk", b.Build(b.TopK(src, 3, "price", 2.0)));
   src = b.Source("quotes");
-  kinds.emplace_back("distinct", b.Build(b.Distinct(src, "symbol", 2.0)));
+  add("distinct", b.Build(b.Distinct(src, "symbol", 2.0)));
 
   std::vector<SchemaPtr> derived;
   for (const auto& [kind, plan] : kinds) {

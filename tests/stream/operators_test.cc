@@ -5,7 +5,6 @@
 
 #include <cmath>
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -298,55 +297,22 @@ TEST(AggregateOperatorTest, GroupsEmitInKeyOrder) {
 
 // --- Batches and window runs ------------------------------------------
 
-/// sum(price) group-by symbol with no window run: every tuple walks its
-/// windows from floor(ts / slide) down, as AggregateOperator's Walk does.
-std::vector<std::string> ReferenceSums(const BatchFeed& feed,
-                                       WindowSpec window) {
-  const SchemaPtr schema = AggSchema({{"symbol", ValueType::kString}});
-  std::map<VirtualTime, std::map<std::string, std::pair<Value, double>>>
-      open;
-  std::vector<std::string> out;
-  auto advance = [&](VirtualTime now) {
-    while (!open.empty() && open.begin()->first + window.size <= now) {
-      const VirtualTime end = open.begin()->first + window.size;
-      for (const auto& [key, group] : open.begin()->second) {
-        out.push_back(Exact(Tuple(
-            schema, {group.first, Value(end), Value(group.second)}, end)));
-      }
-      open.erase(open.begin());
-    }
-  };
-  for (size_t i = 0; i <= feed.tuples.size(); ++i) {
-    auto at = feed.advances.find(i);
-    if (at != feed.advances.end()) advance(at->second);
-    if (i == feed.tuples.size()) break;
-    const Tuple& t = feed.tuples[i];
-    const VirtualTime ts = t.timestamp();
-    for (double k = std::floor(ts / window.slide);; k -= 1.0) {
-      const VirtualTime s = k * window.slide;
-      if (s < 0.0 && k < 0.0) break;
-      if (s + window.size <= ts) break;
-      auto& group = open[s][t.value(0).ToKey()];
-      group.first = t.value(0);
-      group.second += t.value(1).AsDouble();
-      if (k == 0.0) break;
-    }
-  }
-  advance(kCloseAll);
-  return out;
-}
-
-/// Checks the grouped sum over `window` against ReferenceSums under every
-/// batching of `feed`.
+/// Checks sum(price) group-by symbol over `window` against the per-tuple
+/// walk under every batching of `feed`.
 void ExpectSumsMatchReference(const BatchFeed& feed, WindowSpec window) {
   const SchemaPtr s = QuoteSchema();
+  BatchFeed closed = feed;  // RunBatched closes every window at the end.
+  closed.advances[feed.tuples.size()] = kCloseAll;
   ExpectEveryBatchingEmits(
       [&] {
         return std::make_unique<AggregateOperator>(
             s, AggFn::kSum, "price", "symbol", window,
             AggSchema({s->field(0)}));
       },
-      feed, ReferenceSums(feed, window));
+      feed,
+      ReferenceAggregate(closed, AggFn::kSum, /*agg_field=*/1,
+                         /*group_field=*/0, window,
+                         AggSchema({s->field(0)})));
 }
 
 /// Quotes at `stamps`, alternating two symbols, with distinct prices.

@@ -128,9 +128,10 @@ BatchFeed QuotesAt(const std::vector<VirtualTime>& stamps) {
   const SchemaPtr s = QuoteSchema();
   BatchFeed feed;
   for (size_t i = 0; i < stamps.size(); ++i) {
-    feed.tuples.push_back(Quote(s, "S" + std::to_string(i),
-                                static_cast<double>((i * 7) % 5),
-                                stamps[i]));
+    std::string symbol = "S";
+    symbol += std::to_string(i);
+    feed.tuples.push_back(
+        Quote(s, symbol, static_cast<double>((i * 7) % 5), stamps[i]));
   }
   return feed;
 }
